@@ -64,6 +64,89 @@ __all__ = ["main", "build_parser"]
 from repro.service.server import DEFAULT_PORT  # noqa: E402
 
 
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """The :class:`EnumerationConfig` flags of ``enumerate``/``submit``.
+
+    :func:`_config_from_args` reads them back.
+    """
+    p.add_argument(
+        "--backend",
+        default="incore",
+        choices=available_backends(),
+        metavar="NAME",
+        help=(
+            "execution backend (see the 'engines' subcommand; default: "
+            "incore; choices: %(choices)s)"
+        ),
+    )
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help=(
+            "workers for parallel backends — threads for 'threads', "
+            "processes for 'multiprocess' (default: cpu count)"
+        ),
+    )
+    p.add_argument(
+        "--level-store",
+        default=None,
+        choices=(*LEVEL_STORES, LEVEL_STORE_AUTO),
+        metavar="NAME",
+        help=(
+            "candidate-level storage substrate: %(choices)s "
+            "(default: the backend's own; 'wah' holds levels "
+            "WAH-compressed to cut the memory peak on sparse graphs; "
+            "'auto' picks the cheapest substrate whose memory-model "
+            "predicted peak fits the memory budget — the service's, "
+            "or else the available memory)"
+        ),
+    )
+    p.add_argument(
+        "--compute-domain",
+        default="auto",
+        choices=COMPUTE_DOMAINS,
+        metavar="NAME",
+        help=(
+            "word representation of the generation step: %(choices)s "
+            "(default: auto — 'wah' level stores run the "
+            "compressed-domain AND kernels, everything else raw "
+            "bit strings)"
+        ),
+    )
+    p.add_argument(
+        "--kernel",
+        default="auto",
+        choices=KERNELS,
+        metavar="NAME",
+        help=(
+            "WAH word-kernel implementation: %(choices)s (default: "
+            "auto — the batched numpy kernels wherever the backend "
+            "advertises them; output is byte-identical either way)"
+        ),
+    )
+    p.add_argument(
+        "--k-min", type=int, default=1, help="minimum clique size (Init_K)"
+    )
+    p.add_argument(
+        "--k-max", type=int, default=None, help="maximum clique size"
+    )
+
+
+def _config_from_args(args: argparse.Namespace) -> EnumerationConfig:
+    """The run configuration the :func:`_add_config_flags` flags name."""
+    return EnumerationConfig(
+        backend=args.backend,
+        k_min=args.k_min,
+        k_max=args.k_max,
+        jobs=args.jobs,
+        level_store=args.level_store,
+        compute_domain=args.compute_domain,
+        kernel=args.kernel,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -79,68 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate", help="enumerate maximal cliques"
     )
     p_enum.add_argument("graph", help="input graph file")
-    p_enum.add_argument(
-        "--backend",
-        default="incore",
-        choices=available_backends(),
-        metavar="NAME",
-        help=(
-            "execution backend (see the 'engines' subcommand; default: "
-            "incore; choices: %(choices)s)"
-        ),
-    )
-    p_enum.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "workers for parallel backends — threads for 'threads', "
-            "processes for 'multiprocess' (default: cpu count)"
-        ),
-    )
-    p_enum.add_argument(
-        "--level-store",
-        default=None,
-        choices=(*LEVEL_STORES, LEVEL_STORE_AUTO),
-        metavar="NAME",
-        help=(
-            "candidate-level storage substrate: %(choices)s "
-            "(default: the backend's own; 'wah' holds levels "
-            "WAH-compressed to cut the memory peak on sparse graphs; "
-            "'auto' picks the cheapest substrate whose memory-model "
-            "predicted peak fits the available memory)"
-        ),
-    )
-    p_enum.add_argument(
-        "--compute-domain",
-        default="auto",
-        choices=COMPUTE_DOMAINS,
-        metavar="NAME",
-        help=(
-            "word representation of the generation step: %(choices)s "
-            "(default: auto — 'wah' level stores run the "
-            "compressed-domain AND kernels, everything else raw "
-            "bit strings)"
-        ),
-    )
-    p_enum.add_argument(
-        "--kernel",
-        default="auto",
-        choices=KERNELS,
-        metavar="NAME",
-        help=(
-            "WAH word-kernel implementation: %(choices)s (default: "
-            "auto — the batched numpy kernels wherever the backend "
-            "advertises them; output is byte-identical either way)"
-        ),
-    )
-    p_enum.add_argument(
-        "--k-min", type=int, default=1, help="minimum clique size (Init_K)"
-    )
-    p_enum.add_argument(
-        "--k-max", type=int, default=None, help="maximum clique size"
-    )
+    _add_config_flags(p_enum)
     p_enum.add_argument(
         "--sink",
         default=None,
@@ -249,33 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_submit.add_argument("graph", help="graph file (server-side path)")
     add_connect(p_submit)
-    p_submit.add_argument(
-        "--backend", default="incore", metavar="NAME",
-        help="execution backend (default: incore)",
-    )
-    p_submit.add_argument("--jobs", type=int, default=None, metavar="N")
-    p_submit.add_argument(
-        "--level-store", default=None,
-        choices=(*LEVEL_STORES, LEVEL_STORE_AUTO),
-        metavar="NAME",
-        help=(
-            "candidate-level storage substrate (default: backend's "
-            "own; 'auto' lets the service pick the cheapest one whose "
-            "predicted peak fits its memory budget)"
-        ),
-    )
-    p_submit.add_argument(
-        "--compute-domain", default="auto", choices=COMPUTE_DOMAINS,
-        metavar="NAME",
-        help="generation-step word representation (default: auto)",
-    )
-    p_submit.add_argument(
-        "--kernel", default="auto", choices=KERNELS,
-        metavar="NAME",
-        help="WAH word-kernel implementation (default: auto)",
-    )
-    p_submit.add_argument("--k-min", type=int, default=1)
-    p_submit.add_argument("--k-max", type=int, default=None)
+    _add_config_flags(p_submit)
     p_submit.add_argument(
         "--sink", default="count", metavar="SPEC",
         help="job sink spec (default: count)",
@@ -327,15 +323,7 @@ def _cmd_enumerate(args) -> int:
     )
 
     g = graph_io.load(args.graph)
-    config = EnumerationConfig(
-        backend=args.backend,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        jobs=args.jobs,
-        level_store=args.level_store,
-        compute_domain=args.compute_domain,
-        kernel=args.kernel,
-    )
+    config = _config_from_args(args)
     spec = args.sink
     if args.count:
         if spec is not None and spec != "count":
@@ -539,15 +527,7 @@ def _service_address(args):
 def _cmd_submit(args) -> int:
     from repro.service import ServiceClient
 
-    config = EnumerationConfig(
-        backend=args.backend,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        jobs=args.jobs,
-        level_store=args.level_store,
-        compute_domain=args.compute_domain,
-        kernel=args.kernel,
-    )
+    config = _config_from_args(args)
     with ServiceClient(_service_address(args)) as client:
         job_id = client.submit(
             args.graph,

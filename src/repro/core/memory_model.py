@@ -40,6 +40,7 @@ __all__ = [
     "bytes_to_unit",
     "PredictedProfile",
     "predict_profile",
+    "predict_graph_profile",
     "seed_sublist_count",
     "parse_byte_size",
     "available_memory_bytes",
@@ -340,6 +341,23 @@ def seed_sublist_count(g: Graph) -> int:
         if int(nonmax.sum()) > 1:
             count += 1
     return count
+
+
+def predict_graph_profile(
+    g: Graph, k_min: int, k_max: int | None = None
+) -> PredictedProfile:
+    """:func:`predict_profile` for enumerating ``g`` from ``k_min``.
+
+    Runs from edges (``k_min <= 2``) pass the exact seed count of
+    :func:`seed_sublist_count`; a duck-typed graph without the ``adj``
+    bitmap (only ``n``/``m``) skips it.
+    """
+    seeds = (
+        seed_sublist_count(g)
+        if k_min <= 2 and hasattr(g, "adj")
+        else None
+    )
+    return predict_profile(g.n, g.m, k_min, seeds, k_max=k_max)
 
 
 def parse_byte_size(text: str) -> int:

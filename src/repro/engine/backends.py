@@ -1,8 +1,12 @@
 """The built-in execution backends.
 
-Each backend is ~30 lines of substrate policy over the shared loop in
-:mod:`repro.engine.level_loop` (or, for ``"multiprocess"``, over the
-partition-persistent worker pool in :mod:`repro.parallel.mp_backend`):
+The four level-loop backends share one runner (:func:`_run_levels`)
+over :func:`repro.engine.level_loop.run_level_loop`; each supplies only
+its raw-word generation step and the compressed-domain model its WAH
+step runs, and takes its default level store from
+:attr:`~repro.engine.registry.BackendInfo.storage`.  ``"multiprocess"``
+runs the partition-persistent worker pool of
+:mod:`repro.parallel.mp_backend` instead:
 
 * ``"incore"`` — the paper's contribution: candidates in RAM, tail-list
   pair generation (Figure 3);
@@ -28,7 +32,9 @@ registry.
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from repro.errors import ParameterError
 from repro.core.clique_enumerator import (
@@ -47,9 +53,16 @@ from repro.engine.config import (
     resolve_for_backend,
     resolve_kernel,
 )
-from repro.engine.level_loop import make_emitter, run_level_loop
+from repro.engine.level_loop import (
+    GenerationStep,
+    make_emitter,
+    run_level_loop,
+)
 from repro.engine.level_store import CompressedLevelStore, MemoryLevelStore
 from repro.engine.registry import get_backend, register_backend
+
+if TYPE_CHECKING:
+    from repro.parallel.thread_backend import ThreadedExpander
 
 __all__ = [
     "run_incore",
@@ -72,10 +85,8 @@ def _reject_unknown_options(config: EnumerationConfig, known: set[str]):
         )
 
 
-def _store_policy(
-    config: EnumerationConfig, default: str, kernel: str = "python"
-):
-    """Resolve ``config.level_store`` for a level-loop backend.
+def _store_policy(config: EnumerationConfig, name: str, kernel: str):
+    """Resolve the effective level store ``name`` for the level loop.
 
     Returns ``(store_factory, io, store_options)`` — the factory for
     :func:`~repro.engine.level_loop.run_level_loop`, the shared
@@ -86,7 +97,6 @@ def _store_policy(
     ``kernel`` is the run's resolved WAH kernel — the compressed store
     uses it to pick its (byte-identical) batched or per-entry codec.
     """
-    name = config.level_store or default
     if name == "auto":
         raise ParameterError(
             "level_store='auto' must be resolved before a runner is "
@@ -117,55 +127,81 @@ def _store_policy(
     )
 
 
-def _reject_jobs(config: EnumerationConfig):
-    if config.jobs is not None:
+def _run_levels(
+    g: Graph,
+    config: EnumerationConfig,
+    on_clique: OnClique,
+    backend: str,
+    bitset_step: GenerationStep,
+    model: str,
+    wrap: Callable[[GenerationStep], ThreadedExpander] | None = None,
+    wrap_options: frozenset[str] = frozenset(),
+) -> EnumerationResult:
+    """The one runner every level-loop backend shares.
+
+    A backend supplies its raw-word generation step (``bitset_step``)
+    and the :class:`~repro.core.compressed_domain.CompressedExpander`
+    model (``"pairs"`` or ``"bitscan"``) its WAH-domain step runs;
+    everything else follows from ``config`` and the backend's
+    :class:`~repro.engine.registry.BackendInfo`: the level store
+    (``config.level_store``, else ``info.storage``), the compute
+    domain, the kernel, and how a level streams between store and step
+    (``"raw"``, or ``"entries"`` / ``"batches"`` when the ``"wah"``
+    domain runs on the ``"wah"`` store — whole batches only for the
+    numpy kernel on a sequential backend, since a parallel step
+    partitions levels per sub-list).  ``wrap`` turns the step into a
+    parallel one (a :class:`~repro.parallel.thread_backend.
+    ThreadedExpander`, which annotates the result with its workers and
+    steals) and ``wrap_options`` are the option keys it reads.
+    """
+    info = get_backend(backend)
+    if config.jobs is not None and not info.parallel:
         raise ParameterError(
             f"backend {config.backend!r} is sequential; jobs is only "
             "valid for parallel backends (see `repro engines`)"
         )
-
-
-def _resolve_step(
-    g: Graph,
-    config: EnumerationConfig,
-    store_name: str,
-    backend_name: str,
-    model: str,
-    bitset_step,
-):
-    """Resolve the generation step for the configured compute domain.
-
-    Returns ``(step, stream_mode, expander, domain, kernel)``: the step
-    callable for :func:`~repro.engine.level_loop.run_level_loop`, how
-    the level streams between store and step (``"raw"`` /
-    ``"entries"`` / ``"batches"`` — the compressed modes are the
-    ``"wah"`` domain on the ``"wah"`` store, the zero-round-trip
-    pairing), the :class:`~repro.core.compressed_domain.
-    CompressedExpander` carrying the kernel telemetry (``None`` in the
-    bitset domain), the resolved domain name for
-    ``result.compute_domain``, and the resolved kernel for
-    ``result.kernel``.
-    """
-    info = get_backend(backend_name)
+    store_name = config.level_store or info.storage
     domain = resolve_compute_domain(config, store_name, info)
     kernel = resolve_kernel(config, info)
-    if domain == "bitset":
-        return bitset_step, "raw", None, "bitset", kernel
-    expander = CompressedExpander(
-        g,
-        model=model,
-        emit_compressed=store_name == "wah",
-        kernel=kernel,
-    )
-    if store_name != "wah":
-        stream_mode = "raw"
-    elif kernel == "numpy" and not info.parallel:
-        # whole-batch streaming; the threads backend partitions levels
-        # across workers per sub-list, so it keeps the entry form
-        stream_mode = "batches"
-    else:
-        stream_mode = "entries"
-    return expander.step, stream_mode, expander, "wah", kernel
+    store_factory, io, known = _store_policy(config, store_name, kernel)
+    _reject_unknown_options(config, known | wrap_options)
+    step, stream_mode, expander = bitset_step, "raw", None
+    if domain == "wah":
+        expander = CompressedExpander(
+            g,
+            model=model,
+            emit_compressed=store_name == "wah",
+            kernel=kernel,
+        )
+        step = expander.step
+        if store_name == "wah":
+            stream_mode = (
+                "batches"
+                if kernel == "numpy" and not info.parallel
+                else "entries"
+            )
+    pool = None
+    if wrap is not None:
+        pool = wrap(step)
+        step = pool.step
+    with pool or nullcontext():
+        result = run_level_loop(
+            g,
+            config,
+            on_clique,
+            step=step,
+            store_factory=store_factory,
+            backend=backend,
+            io=io,
+            stream_mode=stream_mode,
+        )
+    if pool is not None:
+        pool.annotate(result)
+    result.compute_domain = domain
+    result.kernel = kernel
+    if expander is not None:
+        result.domain_stats.update(expander.stats())
+    return result
 
 
 @register_backend(
@@ -180,30 +216,9 @@ def run_incore(
     g: Graph, config: EnumerationConfig, on_clique: OnClique = None
 ) -> EnumerationResult:
     """The paper's in-core Clique Enumerator on the unified loop."""
-    _reject_jobs(config)
-    store_name = config.level_store or "memory"
-    step, stream_mode, expander, domain, kernel = _resolve_step(
-        g, config, store_name, "incore", "pairs", generate_next_level
+    return _run_levels(
+        g, config, on_clique, "incore", generate_next_level, "pairs"
     )
-    store_factory, io, store_opts = _store_policy(
-        config, "memory", kernel
-    )
-    _reject_unknown_options(config, store_opts)
-    result = run_level_loop(
-        g,
-        config,
-        on_clique,
-        step=step,
-        store_factory=store_factory,
-        backend="incore",
-        io=io,
-        stream_mode=stream_mode,
-    )
-    result.compute_domain = domain
-    result.kernel = kernel
-    if expander is not None:
-        result.domain_stats.update(expander.stats())
-    return result
 
 
 @register_backend(
@@ -219,35 +234,10 @@ def run_bitscan(
     g: Graph, config: EnumerationConfig, on_clique: OnClique = None
 ) -> EnumerationResult:
     """The Section 2.3 bit-scan generation variant on the unified loop."""
-    _reject_jobs(config)
-    store_name = config.level_store or "memory"
-    step, stream_mode, expander, domain, kernel = _resolve_step(
-        g,
-        config,
-        store_name,
+    return _run_levels(
+        g, config, on_clique, "bitscan", generate_next_level_bitscan,
         "bitscan",
-        "bitscan",
-        generate_next_level_bitscan,
     )
-    store_factory, io, store_opts = _store_policy(
-        config, "memory", kernel
-    )
-    _reject_unknown_options(config, store_opts)
-    result = run_level_loop(
-        g,
-        config,
-        on_clique,
-        step=step,
-        store_factory=store_factory,
-        backend="bitscan",
-        io=io,
-        stream_mode=stream_mode,
-    )
-    result.compute_domain = domain
-    result.kernel = kernel
-    if expander is not None:
-        result.domain_stats.update(expander.stats())
-    return result
 
 
 @register_backend(
@@ -267,21 +257,9 @@ def run_ooc(
     holds the levels compressed in RAM instead); the result's ``io``
     field is populated only when the effective substrate touches disk.
     """
-    kernel = resolve_kernel(config, get_backend("ooc"))
-    store_factory, io, store_opts = _store_policy(config, "disk", kernel)
-    _reject_unknown_options(config, store_opts)
-    _reject_jobs(config)
-    result = run_level_loop(
-        g,
-        config,
-        on_clique,
-        step=generate_next_level,
-        store_factory=store_factory,
-        backend="ooc",
-        io=io,
+    return _run_levels(
+        g, config, on_clique, "ooc", generate_next_level, "pairs"
     )
-    result.kernel = kernel
-    return result
 
 
 @register_backend(
@@ -297,33 +275,14 @@ def run_ooc(
 def run_threads(
     g: Graph, config: EnumerationConfig, on_clique: OnClique = None
 ) -> EnumerationResult:
-    """The shared-memory threaded substrate on the unified loop.
+    """The ``incore`` loop with each level fanned across worker threads.
 
-    The generation *step* is the parallel policy: each level (or store
-    chunk) is LPT-partitioned across a persistent pool of
-    ``config.jobs`` worker threads which expand shared-state sub-lists
-    and steal ``steal_granularity``-sized slices from the heaviest
-    partition when their own runs dry
-    (:class:`~repro.parallel.thread_backend.ThreadedExpander`).
-    Everything else — seeding, budgets, per-level statistics, all three
-    level stores — is the same
-    :func:`~repro.engine.level_loop.run_level_loop` the sequential
-    backends run, so output, statistics, and operation counters are
-    byte-identical to ``incore``.
-
-    In the ``"wah"`` compute domain each worker runs the
-    compressed-domain step over the shared WAH adjacency-row cache —
-    with ``kernel="numpy"`` the batched structure-of-arrays kernels,
-    whose vectorised inner loops release the GIL — the partitioning,
-    stealing, and level-barrier machinery is unchanged (work estimates
-    are identical by construction), and with the ``"wah"`` level store
-    the sub-lists workers exchange stay compressed end to end.
-
-    Unlike ``multiprocess`` (which collects the full clique set before
-    replaying it), cliques stream through ``on_clique`` at every level
-    barrier: budgets trip at the same clique they would in-core, and a
-    cooperative cancellation raised by the sink takes effect one level
-    late at worst.
+    The step — raw-word or WAH-domain — runs inside a
+    :class:`~repro.parallel.thread_backend.ThreadedExpander` of
+    ``config.jobs`` threads that steal ``steal_granularity``-sized
+    slices, so output, statistics and operation counters are
+    byte-identical to ``incore`` on every level store.  Cliques stream
+    through ``on_clique`` at each level barrier.
     """
     from repro.parallel.thread_backend import (
         DEFAULT_STEAL_GRANULARITY,
@@ -331,47 +290,17 @@ def run_threads(
         resolve_worker_count,
     )
 
-    store_name = config.level_store or "memory"
-    step, stream_mode, wah_expander, domain, kernel = _resolve_step(
-        g, config, store_name, "threads", "pairs", generate_next_level
-    )
-    store_factory, io, store_opts = _store_policy(
-        config, "memory", kernel
-    )
-    _reject_unknown_options(config, store_opts | {"steal_granularity"})
-    expander = ThreadedExpander(
-        resolve_worker_count(config.jobs),
-        config.option("steal_granularity", DEFAULT_STEAL_GRANULARITY),
-        step=step,
-    )
-    with expander:
-        result = run_level_loop(
-            g,
-            config,
-            on_clique,
-            step=expander.step,
-            store_factory=store_factory,
-            backend="threads",
-            io=io,
-            stream_mode=stream_mode,
+    def threaded(step: GenerationStep) -> ThreadedExpander:
+        return ThreadedExpander(
+            resolve_worker_count(config.jobs),
+            config.option("steal_granularity", DEFAULT_STEAL_GRANULARITY),
+            step=step,
         )
-    result.n_workers = expander.n_workers
-    result.transfers = expander.stolen_sublists
-    result.compute_domain = domain
-    result.kernel = kernel
-    if any(expander.worker_busy):
-        # narrow runs (every level below the parallel threshold) never
-        # touch the pool and carry no balance evidence
-        from repro.parallel.metrics import worker_load_balance
 
-        result.load_balance = worker_load_balance(
-            expander.worker_busy,
-            transfers=expander.stolen_sublists,
-            max_level_imbalance=expander.max_step_imbalance,
-        ).to_dict()
-    if wah_expander is not None:
-        result.domain_stats.update(wah_expander.stats())
-    return result
+    return _run_levels(
+        g, config, on_clique, "threads", generate_next_level, "pairs",
+        wrap=threaded, wrap_options=frozenset({"steal_granularity"}),
+    )
 
 
 @register_backend(

@@ -370,8 +370,7 @@ def resolve_level_store(
     """
     from repro.core.memory_model import (
         available_memory_bytes,
-        predict_profile,
-        seed_sublist_count,
+        predict_graph_profile,
     )
 
     advertised = [
@@ -387,14 +386,7 @@ def resolve_level_store(
     if budget_bytes is None:
         return advertised[0]
     if predicted is None:
-        seeds = (
-            seed_sublist_count(g)
-            if config.k_min <= 2 and hasattr(g, "adj")
-            else None
-        )
-        predicted = predict_profile(
-            g.n, g.m, config.k_min, seeds, k_max=config.k_max
-        )
+        predicted = predict_graph_profile(g, config.k_min, config.k_max)
     for store in advertised:
         if predicted.peak_bytes(store) <= budget_bytes:
             return store

@@ -21,7 +21,11 @@ from typing import Any, cast
 
 from repro.obs.metrics import CONTENT_TYPE
 
-__all__ = ["MetricsExporter"]
+__all__ = ["POLL_INTERVAL", "MetricsExporter"]
+
+#: seconds a ``serve_forever`` loop waits between shutdown checks;
+#: socketserver's 0.5 s default would add up to that much to every stop
+POLL_INTERVAL = 0.05
 
 
 class _ScrapeHandler(BaseHTTPRequestHandler):
@@ -91,6 +95,7 @@ class MetricsExporter:
         """Serve scrapes on a daemon thread; returns self."""
         self._thread = threading.Thread(
             target=self._server.serve_forever,
+            args=(POLL_INTERVAL,),
             name="metrics-exporter",
             daemon=True,
         )

@@ -40,12 +40,16 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import ParameterError
-from repro.core.clique_enumerator import generate_next_level
+from repro.core.clique_enumerator import (
+    EnumerationResult,
+    generate_next_level,
+)
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
 from repro.core.sublist import CliqueSubList
 from repro.obs.runtime import get_observability
 from repro.parallel.load_balancer import StealingWorkQueue
+from repro.parallel.metrics import worker_load_balance
 
 __all__ = [
     "DEFAULT_STEAL_GRANULARITY",
@@ -158,6 +162,19 @@ class ThreadedExpander:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def annotate(self, result: EnumerationResult) -> None:
+        """Record the run's worker count, steals and balance on ``result``."""
+        result.n_workers = self.n_workers
+        result.transfers = self.stolen_sublists
+        if any(self.worker_busy):
+            # narrow runs (every level below the parallel threshold)
+            # never touch the pool and carry no balance evidence
+            result.load_balance = worker_load_balance(
+                self.worker_busy,
+                transfers=self.stolen_sublists,
+                max_level_imbalance=self.max_step_imbalance,
+            ).to_dict()
 
     # -- the parallel generation step ---------------------------------------
 

@@ -47,7 +47,7 @@ from repro.errors import BudgetExceeded, ParameterError, ReproError
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
 from repro.core.graph_io import graph_fingerprint, load as load_graph
-from repro.core.memory_model import predict_profile, seed_sublist_count
+from repro.core.memory_model import predict_graph_profile
 from repro.engine.api import EnumerationEngine
 from repro.engine.config import LEVEL_STORE_AUTO, resolve_level_store
 from repro.engine.registry import get_backend
@@ -261,12 +261,7 @@ class JobScheduler:
         except (ReproError, OSError):
             return None, config
         info = get_backend(config.backend)
-        seeds = (
-            seed_sublist_count(g) if config.k_min <= 2 else None
-        )
-        predicted = predict_profile(
-            g.n, g.m, config.k_min, seeds, k_max=config.k_max
-        )
+        predicted = predict_graph_profile(g, config.k_min, config.k_max)
         if config.level_store == LEVEL_STORE_AUTO:
             store = resolve_level_store(
                 config,

@@ -36,7 +36,7 @@ from pathlib import Path
 
 from repro._version import __version__
 from repro.errors import ParameterError, ReproError
-from repro.obs.http import MetricsExporter
+from repro.obs.http import POLL_INTERVAL, MetricsExporter
 from repro.obs.metrics import CONTENT_TYPE
 from repro.obs.runtime import Observability, set_observability
 from repro.service.protocol import (
@@ -213,6 +213,7 @@ class EnumerationServer:
             self._exporter.start()
         thread = threading.Thread(
             target=self._server.serve_forever,
+            args=(POLL_INTERVAL,),
             name="enum-server",
             daemon=True,
         )
@@ -229,7 +230,7 @@ class EnumerationServer:
         self._serving = True
         if self._exporter is not None:
             self._exporter.start()
-        self._server.serve_forever()
+        self._server.serve_forever(POLL_INTERVAL)
 
     def shutdown(self) -> None:
         """Stop the listener, join the thread, drain the owned scheduler.

@@ -32,6 +32,82 @@ def _sl(prefix, tails, n=32):
     )
 
 
+
+#: every built-in registry entry (all fields but ``runner``), as
+#: ``repro engines`` advertises them
+_BUILTIN_BACKENDS = {
+    "bitscan": {
+        "description": "in-memory candidates, rejected n-bit-scan "
+        "generation (ablation)",
+        "storage": "memory",
+        "parallel": False,
+        "min_k_min": 1,
+        "level_stores": ("memory", "disk", "wah"),
+        "compute_domains": ("bitset", "wah"),
+        "kernels": ("python", "numpy"),
+    },
+    "incore": {
+        "description": "in-memory candidates, tail-list generation "
+        "(the paper)",
+        "storage": "memory",
+        "parallel": False,
+        "min_k_min": 1,
+        "level_stores": ("memory", "disk", "wah"),
+        "compute_domains": ("bitset", "wah"),
+        "kernels": ("python", "numpy"),
+    },
+    "multiprocess": {
+        "description": "partition-persistent worker processes with "
+        "centralised load balancing",
+        "storage": "memory",
+        "parallel": True,
+        "min_k_min": 1,
+        "level_stores": ("memory",),
+        "compute_domains": ("bitset",),
+        "kernels": ("python",),
+    },
+    "ooc": {
+        "description": "disk-spilled candidates per level, I/O counted "
+        "(the retired out-of-core mode)",
+        "storage": "disk",
+        "parallel": False,
+        "min_k_min": 1,
+        "level_stores": ("memory", "disk", "wah"),
+        "compute_domains": ("bitset",),
+        "kernels": ("python", "numpy"),
+    },
+    "threads": {
+        "description": "shared-memory worker threads with intra-level "
+        "work stealing (the paper's Altix mode)",
+        "storage": "memory",
+        "parallel": True,
+        "min_k_min": 1,
+        "level_stores": ("memory", "disk", "wah"),
+        "compute_domains": ("bitset", "wah"),
+        "kernels": ("python", "numpy"),
+    },
+}
+
+_ENGINES_STDOUT = (
+    "backend       storage  level stores     domains     kernels       "
+    "parallel  description\n"
+    "bitscan       memory   memory,disk,wah  bitset,wah  python,numpy  "
+    "no        in-memory candidates, rejected n-bit-scan generation "
+    "(ablation)\n"
+    "incore        memory   memory,disk,wah  bitset,wah  python,numpy  "
+    "no        in-memory candidates, tail-list generation (the paper)\n"
+    "multiprocess  memory   memory           bitset      python        "
+    "yes       partition-persistent worker processes with centralised "
+    "load balancing\n"
+    "ooc           disk     memory,disk,wah  bitset      python,numpy  "
+    "no        disk-spilled candidates per level, I/O counted (the "
+    "retired out-of-core mode)\n"
+    "threads       memory   memory,disk,wah  bitset,wah  python,numpy  "
+    "yes       shared-memory worker threads with intra-level work "
+    "stealing (the paper's Altix mode)\n"
+)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = EnumerationConfig()
@@ -272,7 +348,11 @@ class TestRegistry:
             unregister_backend("test-floor")
         assert seen == [3]
 
-    def test_backend_table_entries(self):
+    def test_backend_table_entries(self, capsys):
+        from dataclasses import fields
+
+        from repro.cli import main
+
         table = backend_table()
         names = [info.name for info in table]
         assert names == sorted(names)
@@ -280,15 +360,74 @@ class TestRegistry:
         assert ooc.storage == "disk"
         mp = next(info for info in table if info.name == "multiprocess")
         assert mp.parallel
+        # every advertised field of every built-in, pinned verbatim
+        pinned = {
+            info.name: {
+                f.name: getattr(info, f.name)
+                for f in fields(info)
+                if f.name not in ("name", "runner")
+            }
+            for info in table
+        }
+        assert pinned == _BUILTIN_BACKENDS
+        assert main(["engines"]) == 0
+        assert capsys.readouterr().out == _ENGINES_STDOUT
 
-    def test_unknown_option_rejected(self, triangle):
-        with pytest.raises(ParameterError, match="option"):
-            run_enumeration(
-                triangle,
-                EnumerationConfig(
-                    backend="incore", options={"bogus": 1}
-                ),
-            )
+    @pytest.mark.parametrize(
+        "backend, accepted, extra",
+        [
+            # (backend, option keys it accepts, config fields the
+            # options need): store options follow the effective store
+            pytest.param(
+                "incore", {"directory", "chunk_size"},
+                {"level_store": "disk"}, id="incore",
+            ),
+            pytest.param(
+                "bitscan", {"chunk_size"}, {"level_store": "wah"},
+                id="bitscan",
+            ),
+            pytest.param(
+                "ooc", {"directory", "chunk_size"}, {}, id="ooc"
+            ),
+            pytest.param(
+                "threads", {"steal_granularity", "chunk_size"},
+                {"jobs": 2, "level_store": "wah"}, id="threads",
+            ),
+            pytest.param(
+                "multiprocess", {"rel_tolerance"}, {"jobs": 2},
+                id="multiprocess",
+            ),
+        ],
+    )
+    def test_unknown_option_rejected(
+        self, backend, accepted, extra, triangle, tmp_path
+    ):
+        values = {
+            "chunk_size": 64,
+            "directory": str(tmp_path),
+            "steal_granularity": 2,
+            "rel_tolerance": 0.1,
+        }
+        base = EnumerationConfig(backend=backend, k_min=2, **extra)
+        want = run_enumeration(triangle, base).cliques
+        # each accepted key runs and changes nothing observable
+        options = {key: values[key] for key in accepted}
+        config = EnumerationConfig(
+            backend=backend, k_min=2, options=options, **extra
+        )
+        assert run_enumeration(triangle, config).cliques == want
+        # a key valid on some other backend (or store) is still refused
+        for key in sorted(set(values) - accepted) + ["bogus"]:
+            with pytest.raises(ParameterError, match="option"):
+                run_enumeration(
+                    triangle,
+                    EnumerationConfig(
+                        backend=backend,
+                        k_min=2,
+                        options={**options, key: values.get(key, 1)},
+                        **extra,
+                    ),
+                )
 
 
 class TestLevelStores:

@@ -188,6 +188,67 @@ class TestEnumerateLevelStores:
         assert str(exc.value) == expected
 
 
+class TestConfigFlagParity:
+    """`enumerate` and `submit` share one config-flag surface."""
+
+    FLAGS = [
+        "--backend", "threads", "--jobs", "3", "--level-store", "wah",
+        "--compute-domain", "wah", "--kernel", "python",
+        "--k-min", "3", "--k-max", "5",
+    ]
+
+    def test_same_flags_build_equal_configs(
+        self, graph_file, monkeypatch, capsys
+    ):
+        import repro.cli as cli
+        import repro.service as service
+        from repro.core.clique_enumerator import EnumerationResult
+        from repro.engine import EnumerationConfig
+
+        seen: dict[str, EnumerationConfig] = {}
+
+        class FakeEngine:
+            def run(self, g, config):
+                seen["enumerate"] = config
+                return EnumerationResult()
+
+        class FakeClient:
+            def __init__(self, address):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def submit(self, graph, *, config, **kwargs):
+                seen["submit"] = config
+                return "job-000001"
+
+        monkeypatch.setattr(cli, "EnumerationEngine", FakeEngine)
+        monkeypatch.setattr(service, "ServiceClient", FakeClient)
+        assert main(["enumerate", graph_file, *self.FLAGS]) == 0
+        assert main(["submit", graph_file, *self.FLAGS]) == 0
+        assert capsys.readouterr().out.strip() == "job-000001"
+        assert seen["enumerate"] == seen["submit"] == EnumerationConfig(
+            backend="threads", jobs=3, level_store="wah",
+            compute_domain="wah", kernel="python", k_min=3, k_max=5,
+        )
+        # the defaults agree too
+        assert main(["enumerate", graph_file]) == 0
+        assert main(["submit", graph_file]) == 0
+        assert seen["enumerate"] == seen["submit"] == EnumerationConfig()
+
+    def test_submit_unknown_backend_is_argparse_error(
+        self, graph_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["submit", graph_file, "--backend", "nosuch"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 class TestEngines:
     def test_lists_all_registered_backends(self, capsys):
         assert main(["engines"]) == 0
