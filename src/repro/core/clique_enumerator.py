@@ -45,7 +45,7 @@ from repro.errors import ParameterError
 from repro.core import bitset as bs
 from repro.core.counters import IOStats, OpCounters
 from repro.core.graph import Graph
-from repro.core.sublist import CliqueSubList
+from repro.core.sublist import CliqueLevelBatch, CliqueSubList
 
 __all__ = [
     "LevelStats",
@@ -53,6 +53,7 @@ __all__ = [
     "paper_formula_bytes",
     "generate_next_level",
     "generate_next_level_bitscan",
+    "tail_pairs",
     "build_initial_sublists",
     "build_sublists_from_k_cliques",
     "enumerate_maximal_cliques",
@@ -221,145 +222,177 @@ class EnumerationResult:
 # Core generation step (Figure 3 of the paper)
 # ---------------------------------------------------------------------------
 
-_TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _triu_pairs(t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached upper-triangle index pairs for sub-lists of ``t`` tails."""
-    cached = _TRIU_CACHE.get(t)
-    if cached is None:
-        cached = np.triu_indices(t, k=1)
-        _TRIU_CACHE[t] = cached
-    return cached
-
-
 #: pair-scan batch budget: bounds the temporary test-matrix memory to
 #: roughly ``PAIR_BATCH * n_words(n) * 8`` bytes.
 PAIR_BATCH = 200_000
 
 
-def _process_batch(
-    batch: list[CliqueSubList],
-    g: Graph,
+def tail_pairs(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions ``(i, j)`` of every tail pair within a sub-list.
+
+    ``offsets`` delimits consecutive sub-lists in one flat tails array
+    (sub-list ``s`` owns positions ``offsets[s]:offsets[s + 1]``; the
+    first offset need not be 0).  The pairs come out sub-list by
+    sub-list, each in ``np.triu_indices(t, k=1)`` row-major order, all
+    built with a few ``repeat`` / ``cumsum`` passes and no per-sub-list
+    loop.
+    """
+    pos = np.arange(offsets[0], offsets[-1], dtype=np.int64)
+    # tails after each position within its own sub-list
+    rows = offsets[1:].repeat(offsets[1:] - offsets[:-1]) - pos - 1
+    first = pos.repeat(rows)
+    row_start = rows.cumsum() - rows
+    second = np.arange(first.size, dtype=np.int64)
+    second -= (row_start - pos - 1).repeat(rows)
+    return first, second
+
+
+def _pair_chunks(pairs_cum: np.ndarray) -> list[tuple[int, int]]:
+    """Sub-list ranges ``[lo, hi)`` of at most :data:`PAIR_BATCH` pairs.
+
+    Greedy in level order, like filling one batch until the next
+    sub-list would overflow it; a single sub-list above the budget is a
+    chunk of its own.  Ranges holding no pair are skipped.
+    """
+    m = pairs_cum.size - 1
+    chunks = []
+    lo = 0
+    while lo < m:
+        hi = int(pairs_cum.searchsorted(
+            pairs_cum[lo] + PAIR_BATCH, side="right"
+        )) - 1
+        hi = max(hi, lo + 1)
+        if pairs_cum[hi] > pairs_cum[lo]:
+            chunks.append((lo, hi))
+        lo = hi
+    return chunks
+
+
+def _expand_chunk(
+    level: CliqueLevelBatch,
+    lo: int,
+    hi: int,
+    adj: np.ndarray,
     counters: OpCounters,
     emit: Callable[[tuple[int, ...]], None],
-    out: list[CliqueSubList],
-) -> None:
-    """Run the pair scan for one batch of sub-lists with batched word ops."""
-    adj = g.adj
-    one = np.uint64(1)
-    vi_parts: list[np.ndarray] = []
-    vj_parts: list[np.ndarray] = []
-    pair_counts: list[int] = []
-    for sl in batch:
-        iu, ju = _triu_pairs(int(sl.tails.size))
-        vi_parts.append(sl.tails[iu])
-        vj_parts.append(sl.tails[ju])
-        pair_counts.append(int(iu.size))
-    all_vi = np.concatenate(vi_parts)
-    all_vj = np.concatenate(vj_parts)
-    all_sid = np.repeat(
-        np.arange(len(batch), dtype=np.int64),
-        np.asarray(pair_counts, dtype=np.int64),
-    )
-    counters.pair_checks += int(all_vi.size)
+) -> CliqueLevelBatch | None:
+    """The pair scan of sub-lists ``[lo, hi)`` as one vectorised pass.
+
+    Emits the chunk's maximal cliques in order and returns the retained
+    children, or ``None`` when there are none.
+    """
+    first, second = tail_pairs(level.offsets[lo:hi + 1])
+    vi = level.tails[first]
+    vj = level.tails[second]
+    counters.pair_checks += int(vi.size)
     # adjacency bit of every (v_i, v_j) pair in one gather
-    bits = (adj[all_vi, all_vj >> 6] >> (all_vj & 63).astype(np.uint64)) & one
-    mask = bits.astype(bool)
-    if not mask.any():
-        return
-    pvi = all_vi[mask]
-    pvj = all_vj[mask]
-    psid = all_sid[mask]
-    n_pairs = int(pvi.size)
+    adjacent = (
+        (adj[vi, vj >> 6] >> (vj & 63).astype(np.uint64)) & np.uint64(1)
+    ).astype(bool)
+    if not adjacent.any():
+        return None
+    first, vi, vj = first[adjacent], vi[adjacent], vj[adjacent]
+    n_pairs = int(vi.size)
     counters.cliques_generated += n_pairs
     counters.bit_exist_checks += n_pairs
     counters.bit_and_ops += n_pairs
-    # maximality for every generated clique at once:
-    # CN(prefix) & N(v_i) & N(v_j) row-wise over the whole batch
-    cn_stack = np.stack([sl.cn_words for sl in batch])
-    tests = adj[pvi] & adj[pvj]
-    np.bitwise_and(tests, cn_stack[psid], out=tests)
+    # one group per (sub-list, v_i): the pairs sharing a first position
+    boundary = np.empty(n_pairs, dtype=bool)
+    boundary[0] = True
+    np.not_equal(first[1:], first[:-1], out=boundary[1:])
+    starts = boundary.nonzero()[0]
+    group_of = boundary.cumsum() - 1
+    counters.bit_and_ops += int(starts.size)  # child CN derivations
+    gsid = level.offsets.searchsorted(first[starts], side="right") - 1
+    gvi = vi[starts]
+    # CN(prefix + (v_i,)) per group, then the maximality test
+    # CN(prefix) & N(v_i) & N(v_j) as one AND per generated clique
+    child_cn = level.cn_words[gsid]
+    child_cn &= adj[gvi]
+    tests = child_cn[group_of]
+    tests &= adj[vj]
     nonmax = tests.any(axis=1)
-    # group boundaries: (sub-list, v_i) pairs are emitted in canonical
-    # order because sub-lists arrive prefix-sorted and iu ascends
-    boundary = np.concatenate(
-        ([True], (psid[1:] != psid[:-1]) | (pvi[1:] != pvi[:-1]))
-    )
-    starts = np.flatnonzero(boundary)
-    n_nonmax = np.add.reduceat(nonmax, starts).astype(np.int64)
-    ends = np.concatenate((starts[1:], [n_pairs]))
-    sizes = ends - starts
-    starts_l = starts.tolist()
-    ends_l = ends.tolist()
-    sizes_l = sizes.tolist()
-    n_nonmax_l = n_nonmax.tolist()
-    pvj_list = pvj.tolist()
-    nonmax_list = nonmax.tolist()
-    counters.bit_and_ops += len(starts_l)  # child CN derivations (paper)
-    for gi in range(len(starts_l)):
-        s = starts_l[gi]
-        size = sizes_l[gi]
-        nm = n_nonmax_l[gi]
-        if nm == size and nm <= 1:
-            continue  # nothing maximal to emit, nothing to retain
-        e = ends_l[gi]
-        sl = batch[int(psid[s])]
-        v = int(pvi[s])
-        child_prefix = sl.prefix + (v,)
-        if nm < size:  # some generated cliques are maximal: emit them
-            for idx in range(s, e):
-                if not nonmax_list[idx]:
-                    counters.maximal_emitted += 1
-                    emit(child_prefix + (pvj_list[idx],))
-        if nm > 1:  # at least two candidates: retain the sub-list
-            cand = pvj[s:e][nonmax[s:e]]
-            counters.sublists_created += 1
-            out.append(
-                CliqueSubList(child_prefix, cand, sl.cn_words & adj[v])
-            )
+    del tests  # the chunk's largest temporary, not needed past here
+    maximal = (~nonmax).nonzero()[0]
+    if maximal.size:
+        k = level.k
+        g_max = group_of[maximal]
+        rows = np.empty((maximal.size, k + 1), dtype=np.int64)
+        rows[:, :k - 1] = level.prefixes[gsid[g_max]]
+        rows[:, k - 1] = gvi[g_max]
+        rows[:, k] = vj[maximal]
+        cliques = list(map(tuple, rows.tolist()))
+        emit_batch = getattr(emit, "batch", None)
+        if emit_batch is not None:
+            counters.maximal_emitted += len(cliques)
+            emit_batch(cliques)
+        else:
+            for clique in cliques:
+                counters.maximal_emitted += 1
+                emit(clique)
+    # retain every group with at least two non-maximal candidates
+    n_nonmax = np.add.reduceat(nonmax, starts)
+    keep = n_nonmax > 1
+    kept = keep.nonzero()[0]
+    if not kept.size:
+        return None
+    counters.sublists_created += int(kept.size)
+    prefixes = np.empty((kept.size, level.k), dtype=np.int64)
+    prefixes[:, :-1] = level.prefixes[gsid[kept]]
+    prefixes[:, -1] = gvi[kept]
+    offsets = np.zeros(kept.size + 1, dtype=np.int64)
+    n_nonmax[kept].cumsum(out=offsets[1:])
+    tails = vj[nonmax & keep[group_of]]
+    return CliqueLevelBatch(prefixes, offsets, tails, child_cn[kept])
 
 
 def generate_next_level(
-    sublists: list[CliqueSubList],
+    sublists: CliqueLevelBatch | list[CliqueSubList],
     g: Graph,
     counters: OpCounters,
     emit: Callable[[tuple[int, ...]], None],
-) -> list[CliqueSubList]:
+) -> CliqueLevelBatch | list[CliqueSubList]:
     """One ``GenerateKCliques`` step: level k sub-lists -> level k+1.
 
     Emits maximal (k+1)-cliques through ``emit`` and returns the candidate
-    (k+1)-clique sub-lists.  Pure with respect to its inputs: sub-lists are
+    (k+1)-clique sub-lists in the input's form: a
+    :class:`~repro.core.sublist.CliqueLevelBatch` for a batch, a list
+    of :class:`~repro.core.sublist.CliqueSubList` for a list (converted
+    at entry and exit).  Pure with respect to its inputs: sub-lists are
     never mutated, so the parallel driver can hand disjoint slices of
     ``sublists`` to different workers and merge the outputs.
 
-    The implementation batches the pair scan across sub-lists — one
-    adjacency gather for every (i, j) tail pair of the level, then the
-    combined maximality test ``CN(prefix) & N(v_i) & N(v_j)`` row-wise —
-    chunked to :data:`PAIR_BATCH` pairs to bound temporary memory.  The
-    recorded counters follow the *paper's* operation model (one AND to
-    derive each child common-neighbor string, one AND plus one
-    BitOneExists per generated clique, one adjacency check per scanned
-    pair), so analyses and the machine model stay faithful to Figure 3
-    even though the word-level arithmetic is batched.
+    The step is one vectorised kernel over the level's arrays, chunked
+    to :data:`PAIR_BATCH` pairs to bound temporary memory: the tail
+    pairs of every sub-list at once (:func:`tail_pairs`), one adjacency
+    gather, one child common-neighbor string per ``(sub-list, v_i)``
+    group, and the maximality test ``CN(prefix) & N(v_i) & N(v_j)``
+    row-wise.  Each chunk's maximal cliques go out as one ordered list
+    through ``emit.batch`` when the emitter has one (see
+    :func:`repro.engine.level_loop.make_emitter`), else one call per
+    clique.  The recorded counters follow the *paper's* operation model
+    (one AND to derive each child common-neighbor string, one AND plus
+    one BitOneExists per generated clique, one adjacency check per
+    scanned pair), so analyses and the machine model stay faithful to
+    Figure 3 even though the word-level arithmetic is batched.
     """
-    out: list[CliqueSubList] = []
-    batch: list[CliqueSubList] = []
-    batch_pairs = 0
-    for sl in sublists:
-        t = int(sl.tails.size)
-        if t < 2:
-            continue
-        pairs = t * (t - 1) // 2
-        if batch and batch_pairs + pairs > PAIR_BATCH:
-            _process_batch(batch, g, counters, emit, out)
-            batch = []
-            batch_pairs = 0
-        batch.append(sl)
-        batch_pairs += pairs
-    if batch:
-        _process_batch(batch, g, counters, emit, out)
-    return out
+    if not isinstance(sublists, CliqueLevelBatch):
+        if not sublists:
+            return []
+        batch = CliqueLevelBatch.from_sublists(sublists)
+        return generate_next_level(batch, g, counters, emit).to_sublists()
+    level = sublists
+    counts = level.offsets[1:] - level.offsets[:-1]
+    pairs_cum = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts * (counts - 1) // 2, out=pairs_cum[1:])
+    parts = []
+    for lo, hi in _pair_chunks(pairs_cum):
+        part = _expand_chunk(level, lo, hi, g.adj, counters, emit)
+        if part is not None:
+            parts.append(part)
+    if not parts:
+        return CliqueLevelBatch.empty(level.k + 1, level.cn_words.shape[1])
+    return CliqueLevelBatch.concat(parts)
 
 
 # ---------------------------------------------------------------------------

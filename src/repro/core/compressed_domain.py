@@ -67,7 +67,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.core.bitset import WORD_BITS
-from repro.core.clique_enumerator import PAIR_BATCH, _triu_pairs
+from repro.core.clique_enumerator import PAIR_BATCH, tail_pairs
 from repro.core.compressed import (
     WahBitmap,
     WahScratch,
@@ -575,15 +575,16 @@ class CompressedExpander:
     ):
         """Expand sub-lists ``[lo, hi)`` as one vectorised pair batch."""
         ng = self._n_groups
-        vi_parts, vj_parts, sid_parts = [], [], []
-        for s in range(lo, hi):
-            iu, ju = _triu_pairs(int(tails[s].size))
-            vi_parts.append(tails[s][iu])
-            vj_parts.append(tails[s][ju])
-            sid_parts.append(np.full(iu.size, s, dtype=np.int64))
-        all_vi = np.concatenate(vi_parts)
-        all_vj = np.concatenate(vj_parts)
-        all_sid = np.concatenate(sid_parts)
+        flat = np.concatenate(tails[lo:hi])
+        counts = np.fromiter(
+            (t.size for t in tails[lo:hi]), dtype=np.int64, count=hi - lo
+        )
+        offsets = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        first, second = tail_pairs(offsets)
+        all_vi = flat[first]
+        all_vj = flat[second]
+        all_sid = lo + np.repeat(np.arange(hi - lo), counts)[first]
         counters.pair_checks += int(all_vi.size)
         if not all_vi.size:
             return

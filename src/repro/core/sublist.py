@@ -35,7 +35,12 @@ from repro.core.wah_kernels import (
     concat_streams,
 )
 
-__all__ = ["CliqueSubList", "CompressedSubList", "CompressedLevelBatch"]
+__all__ = [
+    "CliqueSubList",
+    "CliqueLevelBatch",
+    "CompressedSubList",
+    "CompressedLevelBatch",
+]
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,154 @@ class CliqueSubList:
             f"CliqueSubList(prefix={self.prefix}, "
             f"tails={self.tails.tolist()[:8]}"
             f"{'...' if self.tails.size > 8 else ''}, k={self.k})"
+        )
+
+
+@dataclass(frozen=True)
+class CliqueLevelBatch:
+    """A level chunk of raw sub-lists, structure-of-arrays.
+
+    The raw-bitset twin of :class:`CompressedLevelBatch`: instead of one
+    :class:`CliqueSubList` object per sub-list, the chunk is four
+    contiguous arrays, the layout the vectorised generation step
+    (:func:`~repro.core.clique_enumerator.generate_next_level`) and the
+    memory and disk level stores move around whole.
+
+    Attributes
+    ----------
+    prefixes:
+        ``(m, k-1)`` ``int64`` — row ``i`` is sub-list ``i``'s shared
+        (k-1)-clique.
+    offsets:
+        ``(m+1,)`` ``int64``, starting at 0 — sub-list ``i`` owns
+        ``tails[offsets[i]:offsets[i + 1]]``.
+    tails:
+        ``(M,)`` ``int64`` — every sub-list's ascending tails,
+        concatenated in level order.
+    cn_words:
+        ``(m, W)`` ``uint64`` — row ``i`` is the common-neighbor bit
+        string of ``prefixes[i]``.
+
+    Examples
+    --------
+    >>> a = CliqueSubList((0,), np.array([1, 2]), np.array([6], np.uint64))
+    >>> b = CliqueSubList((1,), np.array([2, 3]), np.array([12], np.uint64))
+    >>> batch = CliqueLevelBatch.from_sublists([a, b])
+    >>> len(batch), batch.k, batch.offsets.tolist(), batch.tails.tolist()
+    (2, 2, [0, 2, 4], [1, 2, 2, 3])
+    >>> batch.nbytes() == a.nbytes() + b.nbytes()
+    True
+    >>> [sl.prefix for sl in batch.to_sublists()]
+    [(0,), (1,)]
+    """
+
+    prefixes: np.ndarray
+    offsets: np.ndarray
+    tails: np.ndarray
+    cn_words: np.ndarray
+
+    @property
+    def k(self) -> int:
+        """Size of the cliques this batch holds."""
+        return int(self.prefixes.shape[1]) + 1
+
+    def __len__(self) -> int:
+        return int(self.prefixes.shape[0])
+
+    @property
+    def n_candidates(self) -> int:
+        """Total candidate cliques in the batch (its share of ``M[k]``)."""
+        return int(self.tails.size)
+
+    def nbytes(self, index_bytes: int = 8, pointer_bytes: int = 8) -> int:
+        """Sum of :meth:`CliqueSubList.nbytes` over the batch's
+        sub-lists, byte for byte."""
+        return (
+            (self.tails.size + self.prefixes.size) * index_bytes
+            + self.cn_words.nbytes
+            + len(self) * pointer_bytes
+        )
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def empty(cls, k: int, n_words: int) -> "CliqueLevelBatch":
+        """The zero-sub-list batch of k-cliques over ``n_words`` words."""
+        return cls(
+            prefixes=np.zeros((0, k - 1), dtype=np.int64),
+            offsets=np.zeros(1, dtype=np.int64),
+            tails=np.zeros(0, dtype=np.int64),
+            cn_words=np.zeros((0, n_words), dtype=np.uint64),
+        )
+
+    @classmethod
+    def from_sublists(
+        cls, sublists: list[CliqueSubList]
+    ) -> "CliqueLevelBatch":
+        """Pack one level's sub-lists (all of the same ``k``) in order."""
+        if not sublists:
+            return cls.empty(1, 0)
+        counts = np.fromiter(
+            (sl.tails.size for sl in sublists),
+            dtype=np.int64,
+            count=len(sublists),
+        )
+        offsets = np.zeros(len(sublists) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(
+            prefixes=np.array(
+                [sl.prefix for sl in sublists], dtype=np.int64
+            ).reshape(len(sublists), -1),
+            offsets=offsets,
+            tails=np.concatenate(
+                [sl.tails for sl in sublists]
+            ).astype(np.int64, copy=False),
+            cn_words=np.stack([sl.cn_words for sl in sublists]),
+        )
+
+    @classmethod
+    def concat(
+        cls, batches: "list[CliqueLevelBatch]"
+    ) -> "CliqueLevelBatch":
+        """Join batches of the same ``k``, in order."""
+        if len(batches) == 1:
+            return batches[0]
+        counts = np.concatenate([np.diff(b.offsets) for b in batches])
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(
+            prefixes=np.concatenate([b.prefixes for b in batches]),
+            offsets=offsets,
+            tails=np.concatenate([b.tails for b in batches]),
+            cn_words=np.concatenate([b.cn_words for b in batches]),
+        )
+
+    # -- conversions -------------------------------------------------------
+
+    def slice(self, lo: int, hi: int) -> "CliqueLevelBatch":
+        """Sub-lists ``[lo, hi)`` as their own batch (array views)."""
+        start, stop = int(self.offsets[lo]), int(self.offsets[hi])
+        return CliqueLevelBatch(
+            prefixes=self.prefixes[lo:hi],
+            offsets=self.offsets[lo:hi + 1] - start,
+            tails=self.tails[start:stop],
+            cn_words=self.cn_words[lo:hi],
+        )
+
+    def to_sublists(self) -> list[CliqueSubList]:
+        """Per-sub-list view: tails and bit strings are views into the
+        batch arrays."""
+        off = self.offsets.tolist()
+        tails, cn = self.tails, self.cn_words
+        return [
+            CliqueSubList(prefix, tails[off[i]:off[i + 1]], cn[i])
+            for i, prefix in enumerate(map(tuple, self.prefixes.tolist()))
+        ]
+
+    def __repr__(self) -> str:
+        return (
+            f"CliqueLevelBatch(sublists={len(self)}, k={self.k}, "
+            f"candidates={self.n_candidates})"
         )
 
 
@@ -283,7 +436,15 @@ class CompressedLevelBatch:
     def from_sublists(
         cls, sublists: list[CliqueSubList]
     ) -> "CompressedLevelBatch":
-        """Batch-compress raw sub-lists (one vectorised encode each way).
+        """Batch-compress raw sub-lists (see :meth:`from_level`)."""
+        if not sublists:
+            return cls.empty(0)
+        return cls.from_level(CliqueLevelBatch.from_sublists(sublists))
+
+    @classmethod
+    def from_level(cls, level: CliqueLevelBatch) -> "CompressedLevelBatch":
+        """Batch-compress a raw level batch (one vectorised encode each
+        way).
 
         Produces byte-identical streams to
         :meth:`CompressedSubList.from_sublist` entry by entry — the
@@ -291,36 +452,22 @@ class CompressedLevelBatch:
         storage measurements are independent of which path compressed a
         chunk.
         """
-        if not sublists:
-            return cls.empty(0)
-        universe = WORD_BITS * int(sublists[0].cn_words.size)
-        cn_words, cn_offsets = batch_encode_words(
-            np.stack([sl.cn_words for sl in sublists]), universe
-        )
-        counts = np.fromiter(
-            (sl.tails.size for sl in sublists),
-            dtype=np.int64,
-            count=len(sublists),
-        )
-        idx_offsets = np.zeros(len(sublists) + 1, dtype=np.int64)
-        np.cumsum(counts, out=idx_offsets[1:])
-        flat_idx = (
-            np.concatenate([sl.tails for sl in sublists])
-            if idx_offsets[-1]
-            else np.zeros(0, dtype=np.int64)
-        )
+        universe = WORD_BITS * int(level.cn_words.shape[1])
+        if not len(level):
+            return cls.empty(universe)
+        cn_words, cn_offsets = batch_encode_words(level.cn_words, universe)
         tails_words, tails_offsets = batch_encode_indices(
-            flat_idx, idx_offsets, universe
+            level.tails, level.offsets, universe
         )
         return cls(
-            prefixes=tuple(sl.prefix for sl in sublists),
+            prefixes=tuple(map(tuple, level.prefixes.tolist())),
             universe=universe,
-            n_tails=counts,
+            n_tails=np.diff(level.offsets),
             tails_words=tails_words,
             tails_offsets=tails_offsets,
             cn_words=cn_words,
             cn_offsets=cn_offsets,
-            tails_idx=(flat_idx, idx_offsets),
+            tails_idx=(level.tails, level.offsets),
         )
 
     @classmethod

@@ -145,12 +145,15 @@ def _run_levels(
     everything else follows from ``config`` and the backend's
     :class:`~repro.engine.registry.BackendInfo`: the level store
     (``config.level_store``, else ``info.storage``), the compute
-    domain, the kernel, and how a level streams between store and step
-    (``"raw"``, or ``"entries"`` / ``"batches"`` when the ``"wah"``
-    domain runs on the ``"wah"`` store — whole batches only for the
-    numpy kernel on a sequential backend, since a parallel step
-    partitions levels per sub-list).  ``wrap`` turns the step into a
-    parallel one (a :class:`~repro.parallel.thread_backend.
+    domain, the kernel, and how a level streams between store and step.
+    Whole batches (``"batches"``) flow on a sequential backend when the
+    vectorised tail-list step (model ``"pairs"``) runs in the
+    ``"bitset"`` domain on the memory or disk store, or the numpy
+    kernel runs the ``"wah"`` domain on the ``"wah"`` store; the
+    ``"wah"`` domain otherwise streams ``"entries"``, and everything
+    else — a parallel step partitions levels per sub-list, the bit-scan
+    step takes lists — streams ``"raw"`` lists.  ``wrap`` turns the
+    step into a parallel one (a :class:`~repro.parallel.thread_backend.
     ThreadedExpander`, which annotates the result with its workers and
     steals) and ``wrap_options`` are the option keys it reads.
     """
@@ -180,6 +183,8 @@ def _run_levels(
                 if kernel == "numpy" and not info.parallel
                 else "entries"
             )
+    elif model == "pairs" and store_name != "wah" and not info.parallel:
+        stream_mode = "batches"
     pool = None
     if wrap is not None:
         pool = wrap(step)

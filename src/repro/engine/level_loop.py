@@ -6,7 +6,8 @@ that), then repeated ``GenerateKCliques`` steps until exhaustion or
 ``k_max``, with per-level statistics, budget checks, and the emission
 bookkeeping that every historical driver re-implemented separately.
 
-A backend supplies exactly two policies:
+A backend supplies two policies, plus how a level travels between
+them:
 
 * ``store_factory`` — where a level's candidates live
   (:class:`~repro.engine.level_store.MemoryLevelStore`,
@@ -15,7 +16,14 @@ A backend supplies exactly two policies:
   from ``config.level_store``);
 * ``step`` — how one level becomes the next
   (:func:`~repro.core.clique_enumerator.generate_next_level` or the
-  bit-scan ablation variant).
+  bit-scan ablation variant);
+* ``stream_mode`` — lists of sub-list objects (``"raw"``, any store
+  and step), compressed entries (``"entries"``), or whole
+  structure-of-arrays batches (``"batches"``).  The sequential in-core
+  backends run batches: the memory or disk store holds each level as
+  :class:`~repro.core.sublist.CliqueLevelBatch` arrays and the
+  vectorised ``generate_next_level`` consumes and returns them with no
+  per-sub-list object in between.
 
 Everything else — budgets, stats, ordering guarantees — is shared, so a
 new substrate cannot drift from the algorithm.
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
+from typing import Any
 
 from repro.errors import BudgetExceeded
 from repro.core.clique_enumerator import (
@@ -37,7 +46,7 @@ from repro.core.clique_enumerator import (
 from repro.core.counters import IOStats, OpCounters
 from repro.core.graph import Graph
 from repro.core.kclique import enumerate_k_cliques
-from repro.core.sublist import CliqueSubList
+from repro.core.sublist import CliqueLevelBatch, CliqueSubList
 from repro.engine.config import EnumerationConfig
 from repro.engine.level_store import LevelStore
 from repro.obs.runtime import get_observability
@@ -46,9 +55,7 @@ from repro.obs.trace import NULL_SPAN
 __all__ = ["make_emitter", "seed_level", "run_level_loop"]
 
 GenerationStep = Callable[
-    [list[CliqueSubList], Graph, OpCounters,
-     Callable[[tuple[int, ...]], None]],
-    list[CliqueSubList],
+    [Any, Graph, OpCounters, Callable[[tuple[int, ...]], None]], Any
 ]
 
 
@@ -235,9 +242,15 @@ def run_level_loop(
       :class:`~repro.core.sublist.CompressedSubList` chunks and the
       step returns the same form (the per-entry compressed path);
     * ``"batches"`` — ``store.stream_batches()`` yields whole
-      :class:`~repro.core.sublist.CompressedLevelBatch` objects and the
-      step returns one per chunk, appended via ``append_batch`` (the
-      numpy structure-of-arrays fast path).
+      structure-of-arrays batches and the step returns one per chunk,
+      appended via ``append_batch``; the seed goes in as one
+      :class:`~repro.core.sublist.CliqueLevelBatch`.  On the memory and
+      disk stores these are raw
+      :class:`~repro.core.sublist.CliqueLevelBatch` levels for
+      :func:`~repro.core.clique_enumerator.generate_next_level` (the
+      bitset domain); on the wah store, compressed
+      :class:`~repro.core.sublist.CompressedLevelBatch` levels for the
+      numpy compressed-domain step.
     """
     k_min = config.k_min  # k_max >= k_min is the config's own invariant
     counters = OpCounters()
@@ -271,8 +284,11 @@ def run_level_loop(
 
     store = store_factory()
     try:
-        for sl in seed:
-            store.append(sl)
+        if stream_mode == "batches":
+            store.append_batch(CliqueLevelBatch.from_sublists(seed))
+        else:
+            for sl in seed:
+                store.append(sl)
         del seed
         result.level_stats.append(
             _measure_store(k, store, counters.maximal_emitted, g.n)

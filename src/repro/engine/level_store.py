@@ -7,21 +7,26 @@ the accounting the level loop needs (``N[k]``, ``M[k]``, measured bytes
 — the paper's per-level statistics), so the storage substrate becomes a
 policy choice (:attr:`repro.engine.config.EnumerationConfig.level_store`):
 
-* :class:`MemoryLevelStore` — candidates stay in RAM; streaming yields
-  the whole level as one chunk so the generation step keeps its full
-  cross-sub-list batching (the paper's in-core mode);
+* :class:`MemoryLevelStore` — candidates stay in RAM as the
+  :class:`~repro.core.sublist.CliqueLevelBatch` arrays the generation
+  step produced, and stream back as those same batches, so the step
+  keeps its full cross-sub-list batching (the paper's in-core mode);
 * :class:`~repro.core.out_of_core.DiskLevelStore` — candidates spill to
-  disk and stream back chunk by chunk with counted I/O (the retired
-  out-of-core mode, kept measurable);
+  disk as ``chunk_size``-row slices of the batch arrays and stream back
+  slice by slice with counted I/O (the retired out-of-core mode, kept
+  measurable);
 * :class:`CompressedLevelStore` — candidates held WAH-compressed
   (:mod:`repro.core.compressed`), realising the paper's closing remark
   that the sparse bitmap index "can potentially provide high
   compression rate"; decompression happens one chunk at a time as the
   level streams back for expansion.
 
-All are driven by the same loop in :mod:`repro.engine.level_loop`, and
-all enforce the single-pass contract: a second ``stream()`` — or an
-``append()`` once streaming began — raises
+All are driven by the same loop in :mod:`repro.engine.level_loop`.
+Every store takes single sub-lists (``append``) and yields lists of
+them (``stream``), for list-based steps such as the threads backend
+and the bit-scan ablation; the batched paths add ``append_batch`` /
+``stream_batches``.  All enforce the single-pass contract: a second
+``stream*()`` — or an ``append*()`` once streaming began — raises
 :class:`~repro.errors.LevelStoreError` instead of silently replaying or
 corrupting the level.
 """
@@ -35,6 +40,7 @@ from repro.errors import LevelStoreError, ParameterError
 from repro.core.clique_enumerator import INDEX_BYTES, POINTER_BYTES
 from repro.core.out_of_core import DiskLevelStore
 from repro.core.sublist import (
+    CliqueLevelBatch,
     CliqueSubList,
     CompressedLevelBatch,
     CompressedSubList,
@@ -99,16 +105,23 @@ class LevelStore(ABC):
 
 
 class MemoryLevelStore(LevelStore):
-    """In-memory level store: a list with the paper's accounting.
+    """In-memory level store: the level's parts with the paper's
+    accounting.
 
-    ``stream`` yields the entire level as a single chunk, so the
-    generation step sees every sub-list at once and its cross-sub-list
-    pair batching (``PAIR_BATCH``) is unchanged from the historical
-    in-core driver.
+    A part is either a whole :class:`~repro.core.sublist.
+    CliqueLevelBatch` (``append_batch``) or a run of sub-lists appended
+    one at a time (``append``); parts are held as given, never
+    concatenated.  ``stream_batches`` yields them back one batch per
+    part — on the batched level loop that is one batch for the whole
+    level, so the generation step keeps its full cross-sub-list pair
+    batching (``PAIR_BATCH``).  ``stream`` yields the entire level as a
+    single list chunk, the historical in-core behaviour.
     """
 
     def __init__(self) -> None:
-        self._sublists: list[CliqueSubList] = []
+        self._parts: list[list[CliqueSubList] | CliqueLevelBatch] = []
+        self._loose: list[CliqueSubList] | None = None
+        self._n_sublists = 0
         self._n_candidates = 0
         self._candidate_bytes = 0
         self._streamed = False
@@ -119,17 +132,36 @@ class MemoryLevelStore(LevelStore):
             raise LevelStoreError(
                 "append() after stream(): the level store is single-pass"
             )
-        self._sublists.append(sl)
+        loose = self._loose
+        if loose is None:
+            loose = self._loose = []
+            self._parts.append(loose)
+        loose.append(sl)
+        self._n_sublists += 1
         self._n_candidates += len(sl)
         self._candidate_bytes += sl.nbytes(INDEX_BYTES, POINTER_BYTES)
 
+    def append_batch(self, batch: CliqueLevelBatch) -> None:
+        """Add a whole batch of sub-lists, held as one part."""
+        if self._streamed:
+            raise LevelStoreError(
+                "append() after stream(): the level store is single-pass"
+            )
+        if not len(batch):
+            return
+        self._parts.append(batch)
+        self._loose = None
+        self._n_sublists += len(batch)
+        self._n_candidates += batch.n_candidates
+        self._candidate_bytes += batch.nbytes(INDEX_BYTES, POINTER_BYTES)
+
     def __len__(self) -> int:
-        return len(self._sublists)
+        return self._n_sublists
 
     @property
     def n_sublists(self) -> int:
         """The paper's ``N[k]`` for this level."""
-        return len(self._sublists)
+        return self._n_sublists
 
     @property
     def n_candidates(self) -> int:
@@ -151,12 +183,35 @@ class MemoryLevelStore(LevelStore):
         return self._stream()
 
     def _stream(self) -> Iterator[list[CliqueSubList]]:
-        if self._sublists:
-            yield self._sublists
+        if self._parts:
+            yield [
+                sl
+                for part in self._parts
+                for sl in (
+                    part if isinstance(part, list) else part.to_sublists()
+                )
+            ]
+
+    def stream_batches(self) -> Iterator[CliqueLevelBatch]:
+        """Yield the level as batches, one per stored part."""
+        if self._streamed:
+            raise LevelStoreError(
+                "stream() called twice on a single-pass level store"
+            )
+        self._streamed = True
+        return self._stream_batches()
+
+    def _stream_batches(self) -> Iterator[CliqueLevelBatch]:
+        for part in self._parts:
+            if isinstance(part, list):
+                yield CliqueLevelBatch.from_sublists(part)
+            else:
+                yield part
 
     def close(self) -> None:
-        """Drop the level (lists are garbage-collected)."""
-        self._sublists = []
+        """Drop the level (parts are garbage-collected)."""
+        self._parts = []
+        self._loose = None
 
 
 class CompressedLevelStore(LevelStore):
@@ -290,19 +345,25 @@ class CompressedLevelStore(LevelStore):
             INDEX_BYTES, POINTER_BYTES
         )
 
-    def append_batch(self, batch: CompressedLevelBatch) -> None:
+    def append_batch(
+        self, batch: CompressedLevelBatch | CliqueLevelBatch
+    ) -> None:
         """Store a whole compressed level batch (numpy fast path).
 
         The batch is held as-is — one part, no per-entry objects — and
         accounted in bulk; :meth:`stream_batches` later yields it back
         untouched, so a batches-mode level loop never materialises an
         entry.  Equivalent byte for byte to appending
-        ``batch.to_entries()`` one at a time.
+        ``batch.to_entries()`` one at a time.  A raw
+        :class:`~repro.core.sublist.CliqueLevelBatch` (the level loop's
+        seed) is compressed first, with one vectorised encode.
         """
         if self._streamed:
             raise LevelStoreError(
                 "append() after stream(): the level store is single-pass"
             )
+        if isinstance(batch, CliqueLevelBatch):
+            batch = CompressedLevelBatch.from_level(batch)
         if len(batch):
             self._store_batch(batch)
 

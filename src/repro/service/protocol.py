@@ -4,7 +4,9 @@ One request per line, one response per line, UTF-8 JSON objects.  A
 request is ``{"op": <name>, ...fields}``; a response is always
 ``{"ok": true, ...}`` or ``{"ok": false, "error": <message>}`` — the
 connection survives bad requests, so a client can keep a socket open
-for a whole sweep.
+for a whole sweep.  The one exception is a line longer than
+:data:`MAX_LINE_BYTES`: it gets the error response, then the server
+closes the connection, since the rest of the line was never read.
 
 This module owns the payload translation both ends must agree on:
 :class:`~repro.engine.config.EnumerationConfig` to/from a flat dict,
@@ -22,6 +24,7 @@ from repro.engine.config import EnumerationConfig
 from repro.service.jobs import JobSpec
 
 __all__ = [
+    "MAX_LINE_BYTES",
     "config_to_payload",
     "config_from_payload",
     "spec_to_payload",
@@ -29,6 +32,12 @@ __all__ = [
     "encode_line",
     "decode_line",
 ]
+
+#: longest request line (terminator included) the server reads; a
+#: longer one is refused and its connection closed.  Inline graphs of
+#: a few thousand vertices are tens of KiB; larger graphs travel by
+#: path.
+MAX_LINE_BYTES = 32 * 1024 * 1024
 
 #: EnumerationConfig fields carried flat in submit payloads.
 _CONFIG_FIELDS = (

@@ -40,6 +40,7 @@ from repro.obs.http import POLL_INTERVAL, MetricsExporter
 from repro.obs.metrics import CONTENT_TYPE
 from repro.obs.runtime import Observability, set_observability
 from repro.service.protocol import (
+    MAX_LINE_BYTES,
     decode_line,
     encode_line,
     spec_from_payload,
@@ -52,14 +53,31 @@ __all__ = ["DEFAULT_PORT", "EnumerationServer", "serve"]
 #: default TCP port of the enumeration job service (the CLI shares it).
 DEFAULT_PORT = 7531
 
+#: how long a connection refused for an oversized request line keeps
+#: draining the client's input before it closes.
+LINGER_SECONDS = 1.0
+
 
 class _Handler(socketserver.StreamRequestHandler):
-    """One thread per connection; one JSON request per line."""
+    """One thread per connection; one JSON request per line, of at
+    most :data:`~repro.service.protocol.MAX_LINE_BYTES` bytes."""
 
     def handle(self) -> None:
         server: EnumerationServer
         server = self.server.enumeration_server  # type: ignore[attr-defined]
-        for raw in self.rfile:
+        while True:
+            raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if not raw:
+                return
+            if len(raw) > MAX_LINE_BYTES:
+                # the rest of the line is unread: answer, then hang up
+                if self._reply({
+                    "ok": False,
+                    "error": "request line exceeds "
+                    f"{MAX_LINE_BYTES} bytes; connection closed",
+                }):
+                    self._hang_up()
+                return
             line = raw.strip()
             if not line:
                 continue
@@ -73,11 +91,34 @@ class _Handler(socketserver.StreamRequestHandler):
                     "ok": False,
                     "error": f"{type(exc).__name__}: {exc}",
                 }
-            try:
-                self.wfile.write(encode_line(response))
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
+            if not self._reply(response):
                 return
+
+    def _hang_up(self) -> None:
+        """Close after an error reply without losing it: a socket closed
+        with unread input resets the connection, and a TCP reset can
+        discard the reply before the client reads it.  So stop sending,
+        then discard what the client still sends — for at most
+        :data:`LINGER_SECONDS`, one buffer at a time."""
+        sock = self.connection
+        deadline = time.monotonic() + LINGER_SECONDS
+        try:
+            sock.shutdown(socket.SHUT_WR)
+            while (left := deadline - time.monotonic()) > 0:
+                sock.settimeout(left)
+                if not sock.recv(1 << 16):
+                    return
+        except OSError:
+            pass
+
+    def _reply(self, response: dict) -> bool:
+        """Send one response line; False when the client has gone."""
+        try:
+            self.wfile.write(encode_line(response))
+            self.wfile.flush()
+        except (BrokenPipeError, ConnectionResetError):
+            return False
+        return True
 
 
 class _ThreadingTCPServer(socketserver.ThreadingTCPServer):

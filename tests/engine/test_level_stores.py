@@ -9,7 +9,11 @@ import pytest
 
 from repro.core import bitset as bs
 from repro.core.generators import erdos_renyi, overlapping_cliques
-from repro.core.sublist import CliqueSubList, CompressedSubList
+from repro.core.sublist import (
+    CliqueLevelBatch,
+    CliqueSubList,
+    CompressedSubList,
+)
 from repro.engine import (
     LEVEL_STORES,
     CompressedLevelStore,
@@ -86,6 +90,85 @@ class TestSinglePassContract:
         store.close()
 
 
+def _batch(first: int, count: int) -> CliqueLevelBatch:
+    """``count`` level-2 sub-lists with prefixes ``first, first + 1...``"""
+    return CliqueLevelBatch.from_sublists(
+        [_sl([v], [v + 1, v + 2, v + 3]) for v in range(first, first + count)]
+    )
+
+
+def _rows(chunks) -> list[tuple[int, ...]]:
+    """Stream chunks (lists or batches) as their sub-lists' prefixes."""
+    out = []
+    for chunk in chunks:
+        if isinstance(chunk, CliqueLevelBatch):
+            chunk = chunk.to_sublists()
+        out.extend(sl.prefix for sl in chunk)
+    return out
+
+
+class TestBatchedStores:
+    """``append_batch`` / ``stream_batches`` on the memory and disk
+    stores: same accounting, same order, same single-pass contract."""
+
+    @pytest.mark.parametrize("name", ["memory", "disk"])
+    def test_accounting_equals_per_sublist_appends(self, name, tmp_path):
+        batched, single = _stores(tmp_path)[name], _stores(tmp_path)[name]
+        for part in (_batch(0, 5), _batch(5, 3)):
+            batched.append_batch(part)
+            for sl in part.to_sublists():
+                single.append(sl)
+        for attr in ("n_sublists", "n_candidates", "candidate_bytes"):
+            assert getattr(batched, attr) == getattr(single, attr)
+        assert len(batched) == 8
+        batched.close()
+        single.close()
+
+    @pytest.mark.parametrize("name", ["memory", "disk"])
+    @pytest.mark.parametrize("method", ["stream", "stream_batches"])
+    def test_mixed_appends_stream_in_order(self, name, method, tmp_path):
+        store = _stores(tmp_path)[name]
+        store.append_batch(_batch(0, 3))
+        store.append(_sl([3], [4, 5]))
+        store.append_batch(_batch(4, 2))
+        store.append_batch(_batch(6, 0))  # empty: ignored
+        assert _rows(getattr(store, method)()) == [(v,) for v in range(6)]
+        store.close()
+
+    @pytest.mark.parametrize("name", ["memory", "disk"])
+    def test_single_pass_across_both_methods(self, name, tmp_path):
+        store = _stores(tmp_path)[name]
+        store.append_batch(_batch(0, 2))
+        list(store.stream_batches())
+        with pytest.raises(LevelStoreError, match="twice"):
+            store.stream()
+        with pytest.raises(LevelStoreError, match="twice"):
+            store.stream_batches()
+        with pytest.raises(LevelStoreError, match="single-pass"):
+            store.append_batch(_batch(2, 1))
+        store.close()
+
+    def test_memory_holds_batches_as_appended(self):
+        store = MemoryLevelStore()
+        parts = [_batch(0, 4), _batch(4, 2)]
+        for part in parts:
+            store.append_batch(part)
+        assert list(store.stream_batches()) == parts  # same objects
+
+    def test_disk_spills_chunk_size_slices(self, tmp_path):
+        store = DiskLevelStore(tmp_path, chunk_size=4)
+        for first, count in ((0, 3), (3, 6), (9, 2)):
+            store.append_batch(_batch(first, count))
+        chunks = list(store.stream_batches())
+        assert [len(c) for c in chunks] == [4, 4, 3]
+        assert all(isinstance(c, CliqueLevelBatch) for c in chunks)
+        assert _rows(chunks) == [(v,) for v in range(11)]
+        assert store.stats.write_ops == store.stats.read_ops == 3
+        assert store.stats.bytes_read == store.stats.bytes_written
+        assert not list(tmp_path.glob("*.spill"))
+        store.close()
+
+
 class TestCompressedLevelStore:
     def test_is_level_store(self):
         assert isinstance(CompressedLevelStore(), LevelStore)
@@ -113,6 +196,24 @@ class TestCompressedLevelStore:
             assert got.prefix == want.prefix
             assert np.array_equal(got.tails, want.tails)
             assert np.array_equal(got.cn_words, want.cn_words)
+
+    def test_raw_batch_compressed_on_append(self):
+        """The batched loop hands the wah store its seed as one raw
+        batch; stored words and accounting match per-sub-list appends."""
+        items = [_sl([0], [1, 2]), _sl([1], [2, 3, 4]), _sl([2], [5, 9])]
+        batched = CompressedLevelStore(chunk_size=2, kernel="numpy")
+        single = CompressedLevelStore(chunk_size=2, kernel="numpy")
+        batched.append_batch(CliqueLevelBatch.from_sublists(items))
+        for sl in items:
+            single.append(sl)
+        for attr in ("n_sublists", "n_candidates", "candidate_bytes",
+                     "uncompressed_bytes"):
+            assert getattr(batched, attr) == getattr(single, attr)
+        (a,), (b,) = batched.stream_batches(), single.stream_batches()
+        assert a.prefixes == b.prefixes
+        for name in ("n_tails", "tails_words", "tails_offsets",
+                     "cn_words", "cn_offsets"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_stream_chunks_bound_decompression(self):
         store = CompressedLevelStore(chunk_size=2)

@@ -344,6 +344,102 @@ class TestUnixSocket:
         assert target.read_text() == "precious"
 
 
+def _raw_call(address, data: bytes) -> tuple[dict, bytes]:
+    """Send raw request bytes, then end the stream; return the first
+    reply and every reply byte after it."""
+    import socket
+
+    family = socket.AF_UNIX if isinstance(address, str) else socket.AF_INET
+    with socket.socket(family, socket.SOCK_STREAM) as sock:
+        sock.settimeout(10)
+        sock.connect(address)
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        stream = sock.makefile("rb")
+        reply = json.loads(stream.readline())
+        try:
+            rest = stream.read()
+        except ConnectionResetError:
+            rest = b""
+    return reply, rest
+
+
+def _ping_line(size: int) -> bytes:
+    """A ping request of exactly ``size`` bytes, newline included."""
+    head = b'{"op":"ping","pad":"'
+    return head + b"x" * (size - len(head) - 3) + b'"}\n'
+
+
+class TestRequestLineCap:
+    CAP = 4096
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_LINE_BYTES", self.CAP)
+
+    def test_line_at_the_cap_is_served(self, server):
+        reply, rest = _raw_call(
+            server.address, _ping_line(self.CAP) + _ping_line(100)
+        )
+        assert reply["ok"] and reply["pong"]
+        assert json.loads(rest)["pong"]
+
+    def test_oversized_line_refused_and_connection_closed(self, server):
+        reply, rest = _raw_call(
+            server.address, _ping_line(self.CAP + 1) + _ping_line(100)
+        )
+        assert reply["ok"] is False
+        assert f"exceeds {self.CAP} bytes" in reply["error"]
+        assert rest == b""  # the queued ping was never answered
+
+    def test_client_that_keeps_sending_is_dropped(self, server, monkeypatch):
+        import socket
+        import time
+
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "LINGER_SECONDS", 0.2)
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(b"x" * (2 * self.CAP))  # no newline, no EOF
+            stream = sock.makefile("rb")
+            assert json.loads(stream.readline())["ok"] is False
+            # keep sending: once the server closes, writes fail
+            with pytest.raises(OSError):
+                for _ in range(200):
+                    sock.sendall(b"x" * 1024)
+                    time.sleep(0.05)
+
+    def test_server_keeps_serving_other_clients(self, server, g):
+        with ServiceClient(server.address) as before:
+            assert before.ping()["pong"]
+            for _ in range(3):
+                reply, _ = _raw_call(
+                    server.address, _ping_line(10 * self.CAP)
+                )
+                assert reply["ok"] is False
+            assert before.ping()["pong"]  # an open connection survives
+            job = before.wait(before.submit(g, k_min=2))
+            assert job["status"] == "done"
+        with ServiceClient(server.address) as after:
+            assert after.ping()["pong"]
+
+    def test_cap_applies_on_unix_sockets(self, tmp_path):
+        with EnumerationServer(socket_path=tmp_path / "r.sock") as srv:
+            reply, rest = _raw_call(srv.address, _ping_line(self.CAP + 1))
+            assert reply["ok"] is False and rest == b""
+            with ServiceClient(srv.address) as client:
+                assert client.ping()["pong"]
+
+    def test_cap_is_far_above_inline_submissions(self):
+        from repro.service.protocol import MAX_LINE_BYTES, encode_line
+
+        spec = JobSpec(graph=erdos_renyi(1000, 0.008, seed=1))
+        line = encode_line({"op": "submit", **spec_to_payload(spec)})
+        assert 100 * len(line) < MAX_LINE_BYTES
+
+
 class TestBrokenConnection:
     def test_client_side_timeout_poisons_the_client(self, server):
         """Regression: a socket-level timeout desynchronizes the
