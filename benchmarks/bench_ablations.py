@@ -103,12 +103,15 @@ def bench_wah_and_sparse(benchmark):
 def _drive(g, step):
     from repro.core.clique_enumerator import build_initial_sublists
     from repro.core.counters import OpCounters
+    from repro.core.sublist import CliqueLevelBatch
 
     counters = OpCounters()
     sink: list[tuple[int, ...]] = []
-    subs = build_initial_sublists(g, counters, sink.append, True)
-    while subs:
-        subs = step(subs, g, counters, sink.append)
+    level = CliqueLevelBatch.from_sublists(
+        build_initial_sublists(g, counters, sink.append, True)
+    )
+    while len(level):
+        level = step(level, g, counters, sink.append)
     return sink
 
 

@@ -358,9 +358,11 @@ def generate_next_level(
     (k+1)-clique sub-lists in the input's form: a
     :class:`~repro.core.sublist.CliqueLevelBatch` for a batch, a list
     of :class:`~repro.core.sublist.CliqueSubList` for a list (converted
-    at entry and exit).  Pure with respect to its inputs: sub-lists are
-    never mutated, so the parallel driver can hand disjoint slices of
-    ``sublists`` to different workers and merge the outputs.
+    at entry and exit, for the callers outside the level loop: the
+    process workers and the machine-model trace).  Pure with respect to
+    its inputs: sub-lists are never mutated, so a parallel driver can
+    hand disjoint rows of a level to different workers and merge the
+    outputs.
 
     The step is one vectorised kernel over the level's arrays, chunked
     to :data:`PAIR_BATCH` pairs to bound temporary memory: the tail
@@ -545,11 +547,11 @@ def enumerate_maximal_cliques(
 # ---------------------------------------------------------------------------
 
 def generate_next_level_bitscan(
-    sublists: list[CliqueSubList],
+    level: CliqueLevelBatch,
     g: Graph,
     counters: OpCounters,
     emit: Callable[[tuple[int, ...]], None],
-) -> list[CliqueSubList]:
+) -> CliqueLevelBatch:
     """The paper's alternative generation: scan the bit string directly.
 
     Section 2.3: "there is another way to generate (k+1)-cliques by
@@ -564,12 +566,14 @@ def generate_next_level_bitscan(
     :func:`generate_next_level`; the cost model charges the full
     ``n``-bit scan per clique (tracked in ``counters.extra`` under
     ``bits_scanned``), and the wall-clock difference is measurable on
-    sparse graphs where tail lists are far shorter than ``n``.
+    sparse graphs where tail lists are far shorter than ``n``.  Takes
+    and returns :class:`~repro.core.sublist.CliqueLevelBatch` levels;
+    the scan itself walks the batch one sub-list at a time.
     """
     adj = g.adj
     n = g.n
     out: list[CliqueSubList] = []
-    for sl in sublists:
+    for sl in level.to_sublists():
         tails = sl.tails
         cn = sl.cn_words
         for v in tails.tolist()[:-1]:
@@ -601,4 +605,6 @@ def generate_next_level_bitscan(
             if cand.size > 1:
                 counters.sublists_created += 1
                 out.append(CliqueSubList(child_prefix, cand, child_cn))
-    return out
+    if not out:
+        return CliqueLevelBatch.empty(level.k + 1, level.cn_words.shape[1])
+    return CliqueLevelBatch.from_sublists(out)

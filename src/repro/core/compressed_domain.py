@@ -80,6 +80,7 @@ from repro.core.counters import OpCounters
 from repro.core.graph import Graph
 from repro.obs.runtime import get_observability
 from repro.core.sublist import (
+    CliqueLevelBatch,
     CliqueSubList,
     CompressedLevelBatch,
     CompressedSubList,
@@ -92,7 +93,6 @@ from repro.core.wah_kernels import (
     batch_encode_indices,
     batch_encode_words,
     batch_indices_above,
-    concat_streams,
     take_streams,
 )
 
@@ -124,30 +124,25 @@ class CompressedExpander:
         generate_next_level`) or ``"bitscan"``
         (:func:`~repro.core.clique_enumerator.
         generate_next_level_bitscan`).
-    emit_compressed:
-        When True, :meth:`step` consumes
-        :class:`~repro.core.sublist.CompressedSubList` entries (as
-        streamed by ``CompressedLevelStore.stream_entries``) and emits
-        children in the same form — the zero-round-trip path.  When
-        False it consumes/produces plain
-        :class:`~repro.core.sublist.CliqueSubList` for the ``memory`` /
-        ``disk`` stores; the kernels still perform the derivations and
-        maximality tests on compressed operands.
     kernel:
         ``"python"`` (the scalar per-pair kernels) or ``"numpy"`` (the
         batched :mod:`repro.core.wah_kernels` structure-of-arrays path).
         Byte-equivalent outputs and counters; see the module docstring.
-        The numpy kernels additionally accept a whole
-        :class:`~repro.core.sublist.CompressedLevelBatch` as the
-        ``sublists`` argument of :meth:`step` and then return one, so
-        batch-streaming stores never materialise per-entry objects.
+
+    :meth:`step` takes a whole level batch and returns the children in
+    the same form: a :class:`~repro.core.sublist.CompressedLevelBatch`
+    (as the WAH store streams it in the ``"wah"`` domain — the
+    zero-round-trip path) or a raw :class:`~repro.core.sublist.
+    CliqueLevelBatch` (as the memory and disk stores stream it — the
+    kernels still run the derivations and maximality tests on
+    compressed operands).  The python kernels work per entry and
+    convert at that boundary.
     """
 
     def __init__(
         self,
         g: Graph,
         model: str = "pairs",
-        emit_compressed: bool = False,
         kernel: str = "python",
     ):
         if model not in STEP_MODELS:
@@ -163,7 +158,6 @@ class CompressedExpander:
         self._g = g
         self._adj = g.adj
         self._model = model
-        self._emit_compressed = emit_compressed
         self.kernel = kernel
         #: bit universe of every CN string / tail bitmap of this graph —
         #: the full 64-bit word span, matching CompressedSubList.
@@ -262,55 +256,54 @@ class CompressedExpander:
 
     def step(
         self,
-        sublists: list,
+        batch: CliqueLevelBatch | CompressedLevelBatch,
         g: Graph,
         counters: OpCounters,
         emit: Callable[[tuple[int, ...]], None],
-    ) -> list:
+    ) -> CliqueLevelBatch | CompressedLevelBatch:
         """One ``GenerateKCliques`` step in the compressed domain.
 
         Matches the engine's ``GenerationStep`` signature; ``g`` must be
-        the graph the expander was built for.
+        the graph the expander was built for.  The children come back in
+        the input batch's form.
         """
         if self._tracer is None:
-            return self._dispatch(sublists, counters, emit)
+            return self._dispatch(batch, counters, emit)
         with self._tracer.span(
             "expand",
             kernel=self.kernel,
             model=self._model,
-            parents=len(sublists),
+            parents=len(batch),
         ) as span:
-            children = self._dispatch(sublists, counters, emit)
+            children = self._dispatch(batch, counters, emit)
             span.set(children=len(children))
             return children
 
     def _dispatch(
         self,
-        sublists: list,
+        batch: CliqueLevelBatch | CompressedLevelBatch,
         counters: OpCounters,
         emit: Callable[[tuple[int, ...]], None],
-    ) -> list:
-        """Route one chunk to the configured kernel/model pair."""
+    ) -> CliqueLevelBatch | CompressedLevelBatch:
+        """Route one batch to the configured kernel/model pair."""
+        pairs = self._model == "pairs"
         if self.kernel == "numpy":
-            if self._model == "pairs":
-                return self._step_pairs_np(sublists, counters, emit)
-            return self._step_bitscan_np(sublists, counters, emit)
-        if isinstance(sublists, CompressedLevelBatch):
-            # the python kernels work per entry; round-trip through the
-            # entry form so batch-streaming stores can still select them
-            # (requires emit_compressed — a batch is a compressed level)
-            entries = sublists.to_entries()
-            if self._model == "pairs":
-                children = self._step_pairs(entries, counters, emit)
-            else:
-                children = self._step_bitscan(entries, counters, emit)
-            batch = CompressedLevelBatch.from_entries(children)
+            if pairs:
+                return self._step_pairs_np(batch, counters, emit)
+            return self._step_bitscan_np(batch, counters, emit)
+        # the python kernels work per entry: convert at this boundary
+        run = self._step_pairs if pairs else self._step_bitscan
+        if isinstance(batch, CompressedLevelBatch):
+            children = run(batch.to_entries(), counters, emit)
             if not children:
-                batch = CompressedLevelBatch.empty(self._universe)
-            return batch
-        if self._model == "pairs":
-            return self._step_pairs(sublists, counters, emit)
-        return self._step_bitscan(sublists, counters, emit)
+                return CompressedLevelBatch.empty(self._universe)
+            return CompressedLevelBatch.from_entries(children)
+        children = run(batch.to_sublists(), counters, emit)
+        if not children:
+            return CliqueLevelBatch.empty(
+                batch.k + 1, batch.cn_words.shape[1]
+            )
+        return CliqueLevelBatch.from_sublists(children)
 
     def _unpack(self, sl) -> tuple[list[int], list[int] | None, object]:
         """``(tails, cn_wah, cn_words)`` whatever the sub-list form.
@@ -334,8 +327,8 @@ class CompressedExpander:
         child_cn: list[int],
         cn_words,
     ):
-        """Build one retained child sub-list in the configured form."""
-        if self._emit_compressed:
+        """Build one retained child sub-list in its parent's form."""
+        if cn_words is None:  # compressed parent, compressed child
             universe = self._universe
             return CompressedSubList(
                 prefix=prefix,
@@ -345,16 +338,10 @@ class CompressedExpander:
                 ),
                 cn=WahBitmap(universe, list(child_cn)),
             )
-        if cn_words is None:  # compressed input, uncompressed output
-            child_words = WahBitmap(
-                self._universe, list(child_cn)
-            ).to_words()
-        else:
-            child_words = cn_words & self._adj[v]
         return CliqueSubList(
             prefix=prefix,
             tails=np.asarray(cand, dtype=np.int64),
-            cn_words=child_words,
+            cn_words=cn_words & self._adj[v],
         )
 
     def _step_pairs(self, sublists, counters, emit) -> list:
@@ -411,32 +398,29 @@ class CompressedExpander:
 
     # -- the numpy (structure-of-arrays) kernels -----------------------------
 
-    def _np_load(self, sublists):
-        """Normalise one level chunk into SoA form for the batch kernels.
+    def _np_load(self, batch):
+        """Normalise one level batch into SoA form for the batch kernels.
 
-        Accepts a list of :class:`CliqueSubList`, a list of
-        :class:`CompressedSubList`, or a :class:`CompressedLevelBatch`,
-        and returns ``(prefixes, tails, cn_words, cn_offsets, kind)``
-        where ``tails`` holds one ascending ``int64`` index array per
-        sub-list and ``kind`` names the input form (``"raw"`` /
-        ``"entries"`` / ``"batch"``) so children can be materialised to
-        match.  Sub-lists with fewer than two tails are dropped here:
+        Returns ``(prefixes, tails, cn_words, cn_offsets)`` where
+        ``tails`` holds one ascending ``int64`` index array per sub-list
+        and the CN strings are WAH streams (a raw batch's bit strings are
+        encoded here).  Sub-lists with fewer than two tails are dropped:
         neither step model can derive anything from them.
         """
         ng, universe = self._n_groups, self._universe
-        if isinstance(sublists, CompressedLevelBatch):
-            tw, to = sublists.tails_words, sublists.tails_offsets
-            cw, co = sublists.cn_words, sublists.cn_offsets
-            prefixes = list(sublists.prefixes)
-            keep = np.flatnonzero(sublists.n_tails >= 2)
+        if isinstance(batch, CompressedLevelBatch):
+            tw, to = batch.tails_words, batch.tails_offsets
+            cw, co = batch.cn_words, batch.cn_offsets
+            prefixes = list(batch.prefixes)
+            keep = np.flatnonzero(batch.n_tails >= 2)
             filtered = keep.size < len(prefixes)
             if filtered:
                 cw, co = take_streams(cw, co, keep)
                 prefixes = [prefixes[i] for i in keep.tolist()]
-            if sublists.tails_idx is not None:
+            if batch.tails_idx is not None:
                 # the producing step cached its decoded tails — slice
                 # the kept streams straight out of the cache
-                flat, offs = sublists.tails_idx
+                flat, offs = batch.tails_idx
                 tails = [
                     flat[offs[i]:offs[i + 1]] for i in keep.tolist()
                 ]
@@ -448,65 +432,37 @@ class CompressedExpander:
                     flat[offs[i]:offs[i + 1]]
                     for i in range(len(prefixes))
                 ]
-            return prefixes, tails, cw, co, "batch"
-        sublists = [sl for sl in sublists if len(sl) >= 2]
-        if not sublists:
-            return (
-                [],
-                [],
-                np.empty(0, dtype=np.uint32),
-                np.zeros(1, dtype=np.int64),
-                "raw",
-            )
-        if isinstance(sublists[0], CompressedSubList):
-            tw, to = concat_streams(
-                [e.tails.wah_words() for e in sublists]
-            )
-            flat, offs = batch_decode_indices(tw, to, ng, universe)
-            tails = [
-                flat[offs[i]:offs[i + 1]] for i in range(len(sublists))
-            ]
-            cw, co = concat_streams([e.cn.wah_words() for e in sublists])
-            return [e.prefix for e in sublists], tails, cw, co, "entries"
-        cw, co = batch_encode_words(
-            np.stack([sl.cn_words for sl in sublists]), universe
-        )
+            return prefixes, tails, cw, co
+        keep = np.flatnonzero(np.diff(batch.offsets) >= 2)
+        cw, co = batch_encode_words(batch.cn_words[keep], universe)
+        offs = batch.offsets
         return (
-            [sl.prefix for sl in sublists],
-            [sl.tails for sl in sublists],
+            list(map(tuple, batch.prefixes[keep].tolist())),
+            [batch.tails[offs[i]:offs[i + 1]] for i in keep.tolist()],
             cw,
             co,
-            "raw",
         )
 
-    def _np_children(self, kind, out_prefixes, out_cands, parts):
-        """Materialise retained children in the form matching ``kind``.
+    def _np_children(self, batch, out_prefixes, out_cands, parts):
+        """Materialise retained children in the form of the parent
+        ``batch``.
 
         ``parts`` holds per-batch SoA fragments of the kept child CN
         streams, in emission order; ``out_cands`` the matching ascending
         tail-index arrays.
         """
         universe, ng = self._universe, self._n_groups
+        compressed = isinstance(batch, CompressedLevelBatch)
         if not out_prefixes:
-            return (
-                CompressedLevelBatch.empty(universe)
-                if kind == "batch"
-                else []
+            if compressed:
+                return CompressedLevelBatch.empty(universe)
+            return CliqueLevelBatch.empty(
+                batch.k + 1, batch.cn_words.shape[1]
             )
         words = np.concatenate([w for w, _ in parts])
         lens = np.concatenate([np.diff(o) for _, o in parts])
         offsets = np.zeros(lens.size + 1, dtype=np.int64)
         np.cumsum(lens, out=offsets[1:])
-        if kind == "raw":
-            mats = batch_decode_words(words, offsets, ng, universe)
-            return [
-                CliqueSubList(
-                    prefix=out_prefixes[i],
-                    tails=out_cands[i],
-                    cn_words=mats[i],
-                )
-                for i in range(len(out_prefixes))
-            ]
         counts = np.fromiter(
             (c.size for c in out_cands),
             dtype=np.int64,
@@ -515,38 +471,33 @@ class CompressedExpander:
         idx_offsets = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=idx_offsets[1:])
         flat_cands = np.concatenate(out_cands)
+        if not compressed:
+            return CliqueLevelBatch(
+                prefixes=np.array(out_prefixes, dtype=np.int64),
+                offsets=idx_offsets,
+                tails=flat_cands,
+                cn_words=batch_decode_words(words, offsets, ng, universe),
+            )
         tw, to = batch_encode_indices(flat_cands, idx_offsets, universe)
-        if kind == "batch":
-            return CompressedLevelBatch(
-                prefixes=tuple(out_prefixes),
-                universe=universe,
-                n_tails=counts,
-                tails_words=tw,
-                tails_offsets=to,
-                cn_words=words,
-                cn_offsets=offsets,
-                tails_idx=(flat_cands, idx_offsets),
-            )
-        return [
-            CompressedSubList(
-                prefix=out_prefixes[i],
-                n_tails=int(counts[i]),
-                tails=WahBitmap._trusted(universe, tw[to[i]:to[i + 1]]),
-                cn=WahBitmap._trusted(
-                    universe, words[offsets[i]:offsets[i + 1]]
-                ),
-            )
-            for i in range(len(out_prefixes))
-        ]
+        return CompressedLevelBatch(
+            prefixes=tuple(out_prefixes),
+            universe=universe,
+            n_tails=counts,
+            tails_words=tw,
+            tails_offsets=to,
+            cn_words=words,
+            cn_offsets=offsets,
+            tails_idx=(flat_cands, idx_offsets),
+        )
 
-    def _step_pairs_np(self, sublists, counters, emit):
+    def _step_pairs_np(self, batch, counters, emit):
         """The tail-list model on the batch kernels.
 
         Mirrors :meth:`_step_pairs` (and the in-core bitset step's
         ``PAIR_BATCH`` charging structure): counters, emitted cliques,
         and children are byte-identical to the python kernel's.
         """
-        prefixes, tails, cn_w, cn_o, kind = self._np_load(sublists)
+        prefixes, tails, cn_w, cn_o = self._np_load(batch)
         scratch = self._scratch()
         out_prefixes: list[tuple[int, ...]] = []
         out_cands: list[np.ndarray] = []
@@ -567,7 +518,7 @@ class CompressedExpander:
                 counters, emit, scratch, out_prefixes, out_cands, parts,
             )
             start = end
-        return self._np_children(kind, out_prefixes, out_cands, parts)
+        return self._np_children(batch, out_prefixes, out_cands, parts)
 
     def _pairs_batch_np(
         self, lo, hi, prefixes, tails, cn_w, cn_o,
@@ -650,14 +601,14 @@ class CompressedExpander:
                 take_streams(chw, cho, np.asarray(kept, dtype=np.int64))
             )
 
-    def _step_bitscan_np(self, sublists, counters, emit):
+    def _step_bitscan_np(self, batch, counters, emit):
         """The bit-scan model on the batch kernels.
 
         Mirrors :meth:`_step_bitscan` — including the documented
         full-``n`` ``bits_scanned`` cost accounting — with the partner
         scan running as one ``batch_indices_above`` per parent chunk.
         """
-        prefixes, tails, cn_w, cn_o, kind = self._np_load(sublists)
+        prefixes, tails, cn_w, cn_o = self._np_load(batch)
         scratch = self._scratch()
         out_prefixes: list[tuple[int, ...]] = []
         out_cands: list[np.ndarray] = []
@@ -678,7 +629,7 @@ class CompressedExpander:
                 counters, emit, scratch, out_prefixes, out_cands, parts,
             )
             start = end
-        return self._np_children(kind, out_prefixes, out_cands, parts)
+        return self._np_children(batch, out_prefixes, out_cands, parts)
 
     def _bitscan_batch_np(
         self, lo, hi, prefixes, tails, cn_w, cn_o,

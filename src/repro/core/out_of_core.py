@@ -37,7 +37,7 @@ from repro.core.clique_enumerator import (
 )
 from repro.core.counters import IOStats
 from repro.core.graph import Graph
-from repro.core.sublist import CliqueLevelBatch, CliqueSubList
+from repro.core.sublist import CliqueLevelBatch
 
 __all__ = ["IOStats", "DiskLevelStore", "enumerate_maximal_cliques_ooc"]
 
@@ -45,13 +45,12 @@ __all__ = ["IOStats", "DiskLevelStore", "enumerate_maximal_cliques_ooc"]
 class DiskLevelStore:
     """Spill-and-stream storage for one level of candidate sub-lists.
 
-    Sub-lists are appended in chunks (pickled), then streamed back in
-    insertion order exactly once.  The store is single-pass by design —
-    the level-wise algorithm never revisits a consumed level.  Whole
-    :class:`~repro.core.sublist.CliqueLevelBatch` levels go through
-    :meth:`append_batch` / :meth:`stream_batches`: each record is then a
-    ``chunk_size``-row slice of the batch arrays, never a list of
-    per-sub-list objects.
+    :class:`~repro.core.sublist.CliqueLevelBatch` batches are appended,
+    spilled as pickled ``chunk_size``-row slices of the batch arrays (a
+    short remainder waits for the next batch), then streamed back in
+    insertion order exactly once, slice by slice.  The store is
+    single-pass by design — the level-wise algorithm never revisits a
+    consumed level.
 
     Implements the :class:`repro.engine.level_store.LevelStore` interface
     (including the ``n_sublists`` / ``n_candidates`` / ``candidate_bytes``
@@ -93,8 +92,7 @@ class DiskLevelStore:
         self.chunk_size = chunk_size
         self.stats = stats if stats is not None else IOStats()
         self._path: Path | None = None
-        self._write_buffer: list[CliqueSubList] = []
-        self._batch_buffer: list[CliqueLevelBatch] = []
+        self._buffer: list[CliqueLevelBatch] = []
         self._fh = None
         self._count = 0
         self._n_candidates = 0
@@ -125,22 +123,7 @@ class DiskLevelStore:
 
     # -- writing ------------------------------------------------------------
 
-    def append(self, sl: CliqueSubList) -> None:
-        """Queue one sub-list; flushes a chunk when the buffer fills."""
-        if self._streamed:
-            raise LevelStoreError(
-                "append() after stream(): the level store is single-pass"
-            )
-        if self._batch_buffer:
-            self._flush_batches(final=True)
-        self._write_buffer.append(sl)
-        self._count += 1
-        self._n_candidates += len(sl)
-        self._candidate_bytes += sl.nbytes(INDEX_BYTES, POINTER_BYTES)
-        if len(self._write_buffer) >= self.chunk_size:
-            self._flush()
-
-    def append_batch(self, batch: CliqueLevelBatch) -> None:
+    def append(self, batch: CliqueLevelBatch) -> None:
         """Queue a whole batch; full ``chunk_size`` slices are spilled,
         the remainder waits for the next batch."""
         if self._streamed:
@@ -149,13 +132,12 @@ class DiskLevelStore:
             )
         if not len(batch):
             return
-        self._flush()
         self._count += len(batch)
         self._n_candidates += batch.n_candidates
         self._candidate_bytes += batch.nbytes(INDEX_BYTES, POINTER_BYTES)
-        self._batch_buffer.append(batch)
-        if sum(map(len, self._batch_buffer)) >= self.chunk_size:
-            self._flush_batches(final=False)
+        self._buffer.append(batch)
+        if sum(map(len, self._buffer)) >= self.chunk_size:
+            self._spill(final=False)
 
     def _ensure_open(self):
         if self._fh is None:
@@ -173,26 +155,20 @@ class DiskLevelStore:
         self.stats.bytes_written += len(payload) + 8
         self.stats.write_ops += 1
 
-    def _flush(self) -> None:
-        if not self._write_buffer:
-            return
-        self._write_record(self._write_buffer)
-        self._write_buffer.clear()
-
-    def _flush_batches(self, final: bool) -> None:
+    def _spill(self, final: bool) -> None:
         """Spill the queued batches as ``chunk_size``-row records; keep
         a short remainder queued unless ``final``."""
-        batch = CliqueLevelBatch.concat(self._batch_buffer)
+        batch = CliqueLevelBatch.concat(self._buffer)
         n, step = len(batch), self.chunk_size
         cut = n if final else n - n % step
         for lo in range(0, cut, step):
             self._write_record(batch.slice(lo, min(lo + step, cut)))
-        self._batch_buffer = [batch.slice(cut, n)] if cut < n else []
+        self._buffer = [batch.slice(cut, n)] if cut < n else []
 
     # -- reading --------------------------------------------------------------
 
-    def stream(self) -> Iterator[list[CliqueSubList]]:
-        """Yield the stored sub-lists chunk by chunk, then delete the file.
+    def stream(self) -> Iterator[CliqueLevelBatch]:
+        """Yield the stored level slice by slice, then delete the file.
 
         Single-pass: a second ``stream()`` — or an ``append()`` once
         streaming began — raises :class:`~repro.errors.LevelStoreError`.
@@ -201,35 +177,13 @@ class DiskLevelStore:
             raise LevelStoreError(
                 "stream() called twice on a single-pass level store"
             )
-        self._finish_writing()
-        return (
-            rec.to_sublists() if isinstance(rec, CliqueLevelBatch) else rec
-            for rec in self._read_chunks()
-        )
-
-    def stream_batches(self) -> Iterator[CliqueLevelBatch]:
-        """Yield the stored level as :class:`CliqueLevelBatch` chunks,
-        then delete the file; the same single-pass contract as
-        :meth:`stream`."""
-        if self._streamed:
-            raise LevelStoreError(
-                "stream() called twice on a single-pass level store"
-            )
-        self._finish_writing()
-        return (
-            rec if isinstance(rec, CliqueLevelBatch)
-            else CliqueLevelBatch.from_sublists(rec)
-            for rec in self._read_chunks()
-        )
-
-    def _finish_writing(self) -> None:
         self._streamed = True
-        self._flush()
-        if self._batch_buffer:
-            self._flush_batches(final=True)
+        if self._buffer:
+            self._spill(final=True)
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+        return self._read_chunks()
 
     def _read_chunks(self) -> Iterator:
         if self._path is None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.bitset import WORD_BITS, words_to_indices
+from repro.core.bitset import WORD_BITS
 from repro.core.compressed import WahBitmap
 from repro.core.wah_kernels import (
     batch_decode_indices,
@@ -33,6 +33,7 @@ from repro.core.wah_kernels import (
     batch_encode_indices,
     batch_encode_words,
     concat_streams,
+    take_streams,
 )
 
 __all__ = [
@@ -239,6 +240,15 @@ class CliqueLevelBatch:
             cn_words=self.cn_words[lo:hi],
         )
 
+    def take(self, rows) -> "CliqueLevelBatch":
+        """Sub-lists ``rows`` (any order, repeats allowed) as a new
+        batch."""
+        rows = np.asarray(rows, dtype=np.int64)
+        tails, offsets = take_streams(self.tails, self.offsets, rows)
+        return CliqueLevelBatch(
+            self.prefixes[rows], offsets, tails, self.cn_words[rows]
+        )
+
     def to_sublists(self) -> list[CliqueSubList]:
         """Per-sub-list view: tails and bit strings are views into the
         batch arrays."""
@@ -297,63 +307,8 @@ class CompressedSubList:
             cn=WahBitmap.from_words(sl.cn_words),
         )
 
-    def to_sublist(self) -> CliqueSubList:
-        """Decompress back to the hot-loop representation.
-
-        Exact inverse of :meth:`from_sublist`: tails come back as the
-        ascending ``int64`` array, ``cn_words`` as the ``uint64``
-        bit-string words the generation step ANDs against adjacency.
-        """
-        return CliqueSubList(
-            prefix=self.prefix,
-            tails=words_to_indices(self.tails.to_words(), self.tails.n),
-            cn_words=self.cn.to_words(),
-        )
-
     def __len__(self) -> int:
         return self.n_tails
-
-    def nbytes(self, index_bytes: int = 8, pointer_bytes: int = 8) -> int:
-        """Measured compressed storage, comparable to
-        :meth:`CliqueSubList.nbytes` (prefix + both compressed payloads
-        + the list pointer)."""
-        return (
-            len(self.prefix) * index_bytes
-            + self.tails.nbytes()
-            + self.cn.nbytes()
-            + pointer_bytes
-        )
-
-    def uncompressed_nbytes(
-        self, index_bytes: int = 8, pointer_bytes: int = 8
-    ) -> int:
-        """What :meth:`CliqueSubList.nbytes` would charge for this
-        sub-list, computed without decompressing anything.
-
-        The tails array would be ``n_tails`` indices and the
-        common-neighbor string ``cn.n / 8`` bytes of raw ``uint64``
-        words (the universe is always a whole number of 64-bit words,
-        see :meth:`from_sublist`).  This is the per-entry baseline the
-        compressed paths report as *decompressed bytes avoided*.
-        """
-        return (
-            self.n_tails * index_bytes
-            + len(self.prefix) * index_bytes
-            + self.cn.n // 8
-            + pointer_bytes
-        )
-
-    def work_estimate(self) -> int:
-        """Generation-work units, identical to
-        :meth:`CliqueSubList.work_estimate` for the same content.
-
-        Computed from the cached tail count and the universe size so the
-        parallel load balancer partitions compressed and uncompressed
-        levels identically (``cn.n // 64`` is the raw word count the
-        uncompressed estimate reads from ``cn_words.size``).
-        """
-        t = self.n_tails
-        return t * (t - 1) // 2 + t * max(1, (self.cn.n // WORD_BITS) // 8)
 
     def __repr__(self) -> str:
         return (
@@ -431,15 +386,6 @@ class CompressedLevelBatch:
         return (self.universe + 30) // 31
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_sublists(
-        cls, sublists: list[CliqueSubList]
-    ) -> "CompressedLevelBatch":
-        """Batch-compress raw sub-lists (see :meth:`from_level`)."""
-        if not sublists:
-            return cls.empty(0)
-        return cls.from_level(CliqueLevelBatch.from_sublists(sublists))
 
     @classmethod
     def from_level(cls, level: CliqueLevelBatch) -> "CompressedLevelBatch":
@@ -586,31 +532,46 @@ class CompressedLevelBatch:
             for i in range(len(self.prefixes))
         ]
 
-    def to_sublists(self) -> list[CliqueSubList]:
-        """Batch-decompress to the raw hot-loop representation.
-
-        Entry-by-entry equal to :meth:`CompressedSubList.to_sublist`,
-        via two vectorised decodes instead of ``2 N`` group walks.
-        """
-        if not self.prefixes:
-            return []
-        mat = batch_decode_words(
-            self.cn_words, self.cn_offsets, self.n_groups, self.universe
+    def take(self, rows) -> "CompressedLevelBatch":
+        """Entries ``rows`` (any order, repeats allowed) as a new batch;
+        streams are gathered verbatim, never re-encoded."""
+        rows = np.asarray(rows, dtype=np.int64)
+        tw, to = take_streams(self.tails_words, self.tails_offsets, rows)
+        cw, co = take_streams(self.cn_words, self.cn_offsets, rows)
+        idx = self.tails_idx
+        if idx is not None:
+            idx = take_streams(idx[0], idx[1], rows)
+        return CompressedLevelBatch(
+            prefixes=tuple(self.prefixes[i] for i in rows.tolist()),
+            universe=self.universe,
+            n_tails=self.n_tails[rows],
+            tails_words=tw,
+            tails_offsets=to,
+            cn_words=cw,
+            cn_offsets=co,
+            tails_idx=idx,
         )
+
+    def to_level(self) -> CliqueLevelBatch:
+        """Batch-decompress a non-empty batch to the raw
+        :class:`CliqueLevelBatch` form (two vectorised decodes)."""
         flat_idx, idx_offsets = self.decoded_tails()
-        return [
-            CliqueSubList(
-                prefix=self.prefixes[i],
-                tails=flat_idx[idx_offsets[i]:idx_offsets[i + 1]],
-                cn_words=mat[i],
-            )
-            for i in range(len(self.prefixes))
-        ]
+        return CliqueLevelBatch(
+            prefixes=np.array(self.prefixes, dtype=np.int64),
+            offsets=idx_offsets,
+            tails=flat_idx,
+            cn_words=batch_decode_words(
+                self.cn_words, self.cn_offsets, self.n_groups,
+                self.universe,
+            ),
+        )
 
     # -- accounting --------------------------------------------------------
 
     def nbytes(self, index_bytes: int = 8, pointer_bytes: int = 8) -> int:
-        """Sum of the per-entry :meth:`CompressedSubList.nbytes`."""
+        """Measured compressed storage, comparable to
+        :meth:`CliqueLevelBatch.nbytes`: prefixes, both compressed
+        payloads and one list pointer per entry."""
         prefix_len = sum(len(p) for p in self.prefixes)
         return (
             prefix_len * index_bytes
@@ -621,8 +582,11 @@ class CompressedLevelBatch:
     def uncompressed_nbytes(
         self, index_bytes: int = 8, pointer_bytes: int = 8
     ) -> int:
-        """Sum of the per-entry
-        :meth:`CompressedSubList.uncompressed_nbytes`."""
+        """What :meth:`CliqueLevelBatch.nbytes` charges for the
+        decompressed batch, computed without decompressing anything
+        (every universe is a whole number of 64-bit words).  The
+        baseline the compressed paths report as decompressed bytes or
+        as decompressed bytes avoided."""
         prefix_len = sum(len(p) for p in self.prefixes)
         return (
             int(self.n_tails.sum()) * index_bytes

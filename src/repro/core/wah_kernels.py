@@ -115,7 +115,7 @@ def take_streams(
     np.cumsum(lens, out=out_offsets[1:])
     total = int(out_offsets[-1])
     if total == 0:
-        return _EMPTY_U32, out_offsets
+        return words[:0], out_offsets
     # flat source index: per-element offset base plus position in run
     base = np.repeat(offsets[ids], lens)
     pos = np.arange(total, dtype=np.int64) - np.repeat(

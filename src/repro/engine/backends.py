@@ -85,7 +85,7 @@ def _reject_unknown_options(config: EnumerationConfig, known: set[str]):
         )
 
 
-def _store_policy(config: EnumerationConfig, name: str, kernel: str):
+def _store_policy(config: EnumerationConfig, name: str, domain: str):
     """Resolve the effective level store ``name`` for the level loop.
 
     Returns ``(store_factory, io, store_options)`` — the factory for
@@ -94,8 +94,9 @@ def _store_policy(config: EnumerationConfig, name: str, kernel: str):
     otherwise), and the option keys the substrate understands (fed to
     :func:`_reject_unknown_options`, so e.g. a spill ``directory`` on
     the in-memory substrate still fails before work starts).
-    ``kernel`` is the run's resolved WAH kernel — the compressed store
-    uses it to pick its (byte-identical) batched or per-entry codec.
+    ``domain`` is the run's resolved compute domain — the compressed
+    store streams its level compressed for a ``"wah"`` step and decoded
+    for a ``"bitset"`` one.
     """
     if name == "auto":
         raise ParameterError(
@@ -108,7 +109,7 @@ def _store_policy(config: EnumerationConfig, name: str, kernel: str):
     if name == "wah":
         chunk_size = config.option("chunk_size", 256)
         return (
-            lambda: CompressedLevelStore(chunk_size, kernel),
+            lambda: CompressedLevelStore(chunk_size, domain),
             None,
             {"chunk_size"},
         )
@@ -145,17 +146,12 @@ def _run_levels(
     everything else follows from ``config`` and the backend's
     :class:`~repro.engine.registry.BackendInfo`: the level store
     (``config.level_store``, else ``info.storage``), the compute
-    domain, the kernel, and how a level streams between store and step.
-    Whole batches (``"batches"``) flow on a sequential backend when the
-    vectorised tail-list step (model ``"pairs"``) runs in the
-    ``"bitset"`` domain on the memory or disk store, or the numpy
-    kernel runs the ``"wah"`` domain on the ``"wah"`` store; the
-    ``"wah"`` domain otherwise streams ``"entries"``, and everything
-    else — a parallel step partitions levels per sub-list, the bit-scan
-    step takes lists — streams ``"raw"`` lists.  ``wrap`` turns the
-    step into a parallel one (a :class:`~repro.parallel.thread_backend.
-    ThreadedExpander`, which annotates the result with its workers and
-    steals) and ``wrap_options`` are the option keys it reads.
+    domain, and the WAH step kernel.  Every step takes and returns
+    level batches, so store and step combine freely.  ``wrap`` turns
+    the step into a parallel one (a :class:`~repro.parallel.
+    thread_backend.ThreadedExpander`, which annotates the result with
+    its workers and steals) and ``wrap_options`` are the option keys it
+    reads.
     """
     info = get_backend(backend)
     if config.jobs is not None and not info.parallel:
@@ -166,25 +162,12 @@ def _run_levels(
     store_name = config.level_store or info.storage
     domain = resolve_compute_domain(config, store_name, info)
     kernel = resolve_kernel(config, info)
-    store_factory, io, known = _store_policy(config, store_name, kernel)
+    store_factory, io, known = _store_policy(config, store_name, domain)
     _reject_unknown_options(config, known | wrap_options)
-    step, stream_mode, expander = bitset_step, "raw", None
+    step, expander = bitset_step, None
     if domain == "wah":
-        expander = CompressedExpander(
-            g,
-            model=model,
-            emit_compressed=store_name == "wah",
-            kernel=kernel,
-        )
+        expander = CompressedExpander(g, model=model, kernel=kernel)
         step = expander.step
-        if store_name == "wah":
-            stream_mode = (
-                "batches"
-                if kernel == "numpy" and not info.parallel
-                else "entries"
-            )
-    elif model == "pairs" and store_name != "wah" and not info.parallel:
-        stream_mode = "batches"
     pool = None
     if wrap is not None:
         pool = wrap(step)
@@ -198,7 +181,6 @@ def _run_levels(
             store_factory=store_factory,
             backend=backend,
             io=io,
-            stream_mode=stream_mode,
         )
     if pool is not None:
         pool.annotate(result)

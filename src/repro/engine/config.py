@@ -105,8 +105,8 @@ class EnumerationConfig:
     ----------
     backend:
         Registry name of the execution substrate (``"incore"``,
-        ``"bitscan"``, ``"ooc"``, ``"multiprocess"``, or any backend
-        registered via :func:`repro.engine.register_backend`).
+        ``"bitscan"``, ``"ooc"``, ``"threads"``, ``"multiprocess"``, or
+        any backend registered via :func:`repro.engine.register_backend`).
     k_min:
         Lower clique-size bound (the paper's ``Init_K``).  All built-in
         backends support 1; for a backend registered with a higher
@@ -153,7 +153,9 @@ class EnumerationConfig:
         distinguishes the domains even though their outputs are
         byte-identical by construction.
     kernel:
-        Kernel implementation for the WAH compute domain: one of
+        Kernel implementation of the WAH-domain generation step (and
+        only of that step — the WAH level store always uses the batched
+        codec, whose canonical words do not depend on a kernel): one of
         :data:`KERNELS`.  ``"auto"`` (the default) picks the batched
         numpy structure-of-arrays kernels when the backend advertises
         them (``BackendInfo.kernels``) and the scalar python kernels

@@ -6,8 +6,7 @@ that), then repeated ``GenerateKCliques`` steps until exhaustion or
 ``k_max``, with per-level statistics, budget checks, and the emission
 bookkeeping that every historical driver re-implemented separately.
 
-A backend supplies two policies, plus how a level travels between
-them:
+A backend supplies two policies:
 
 * ``store_factory`` — where a level's candidates live
   (:class:`~repro.engine.level_store.MemoryLevelStore`,
@@ -15,15 +14,18 @@ them:
   :class:`~repro.engine.level_store.CompressedLevelStore`, resolved
   from ``config.level_store``);
 * ``step`` — how one level becomes the next
-  (:func:`~repro.core.clique_enumerator.generate_next_level` or the
-  bit-scan ablation variant);
-* ``stream_mode`` — lists of sub-list objects (``"raw"``, any store
-  and step), compressed entries (``"entries"``), or whole
-  structure-of-arrays batches (``"batches"``).  The sequential in-core
-  backends run batches: the memory or disk store holds each level as
-  :class:`~repro.core.sublist.CliqueLevelBatch` arrays and the
-  vectorised ``generate_next_level`` consumes and returns them with no
-  per-sub-list object in between.
+  (:func:`~repro.core.clique_enumerator.generate_next_level`, the
+  bit-scan ablation variant, or the compressed-domain
+  :class:`~repro.core.compressed_domain.CompressedExpander`).
+
+A level crosses between them in one currency only: structure-of-arrays
+batches.  The seed is converted once into a
+:class:`~repro.core.sublist.CliqueLevelBatch`; from then on each batch
+the store streams goes through the step, and the step's batch of
+children is appended to the next store — raw
+:class:`~repro.core.sublist.CliqueLevelBatch` arrays in the
+``"bitset"`` domain, :class:`~repro.core.sublist.CompressedLevelBatch`
+arrays in the ``"wah"`` domain on the WAH store.
 
 Everything else — budgets, stats, ordering guarantees — is shared, so a
 new substrate cannot drift from the algorithm.
@@ -221,7 +223,6 @@ def run_level_loop(
     store_factory: Callable[[], LevelStore],
     backend: str,
     io: IOStats | None = None,
-    stream_mode: str = "raw",
 ) -> EnumerationResult:
     """Run the complete level-wise enumeration on one storage substrate.
 
@@ -232,25 +233,14 @@ def run_level_loop(
     output guarantees — each maximal clique exactly once, non-decreasing
     size order, canonical order within a size, nothing above ``k_max``.
 
-    ``stream_mode`` selects how a level flows between the store and the
-    step (the ``compute_domain="wah"`` + ``level_store="wah"`` pairing
-    never materialises the level in raw word form):
-
-    * ``"raw"`` — ``store.stream()`` yields plain
-      :class:`~repro.core.sublist.CliqueSubList` chunks (every store);
-    * ``"entries"`` — ``store.stream_entries()`` yields
-      :class:`~repro.core.sublist.CompressedSubList` chunks and the
-      step returns the same form (the per-entry compressed path);
-    * ``"batches"`` — ``store.stream_batches()`` yields whole
-      structure-of-arrays batches and the step returns one per chunk,
-      appended via ``append_batch``; the seed goes in as one
-      :class:`~repro.core.sublist.CliqueLevelBatch`.  On the memory and
-      disk stores these are raw
-      :class:`~repro.core.sublist.CliqueLevelBatch` levels for
-      :func:`~repro.core.clique_enumerator.generate_next_level` (the
-      bitset domain); on the wah store, compressed
-      :class:`~repro.core.sublist.CompressedLevelBatch` levels for the
-      numpy compressed-domain step.
+    The seed level goes into the first store as one
+    :class:`~repro.core.sublist.CliqueLevelBatch`; each later level is
+    ``next_store.append(step(batch, g, counters, emit))`` for every
+    ``batch`` in ``store.stream()``.  ``step`` must accept whatever the
+    store yields and return the same form (see
+    :mod:`repro.engine.level_store`).  The ``max_candidate_bytes``
+    budget is checked once per stored level, the seed and the last
+    level kept under ``k_max`` included.
     """
     k_min = config.k_min  # k_max >= k_min is the config's own invariant
     counters = OpCounters()
@@ -284,19 +274,17 @@ def run_level_loop(
 
     store = store_factory()
     try:
-        if stream_mode == "batches":
-            store.append_batch(CliqueLevelBatch.from_sublists(seed))
-        else:
-            for sl in seed:
-                store.append(sl)
+        store.append(CliqueLevelBatch.from_sublists(seed))
         del seed
-        result.level_stats.append(
-            _measure_store(k, store, counters.maximal_emitted, g.n)
-        )
-        result.level_seconds.append(time.perf_counter() - t_level)
-        counters.levels = k
-
-        while len(store) and (config.k_max is None or k < config.k_max):
+        before = 0
+        while True:
+            result.level_stats.append(
+                _measure_store(
+                    k, store, counters.maximal_emitted - before, g.n
+                )
+            )
+            result.level_seconds.append(time.perf_counter() - t_level)
+            counters.levels = k
             budget = config.max_candidate_bytes
             if budget is not None and store.candidate_bytes > budget:
                 raise BudgetExceeded(
@@ -305,32 +293,25 @@ def run_level_loop(
                     emitted=counters.maximal_emitted,
                     level=k,
                 )
+            if not len(store) or (
+                config.k_max is not None and k >= config.k_max
+            ):
+                break
             before = counters.maximal_emitted
             level = k + 1
             t_level = time.perf_counter()
             span = (
                 trace.span(
                     "level", k=level, backend=backend,
-                    stream=stream_mode, parents=store.n_sublists,
+                    parents=store.n_sublists,
                 )
                 if trace is not None else NULL_SPAN
             )
             with span:
                 next_store = store_factory()
                 try:
-                    if stream_mode == "batches":
-                        stream = store.stream_batches()
-                    elif stream_mode == "entries":
-                        stream = store.stream_entries()
-                    else:
-                        stream = store.stream()
-                    for chunk in stream:
-                        children = step(chunk, g, counters, emit)
-                        if stream_mode == "batches":
-                            next_store.append_batch(children)
-                        else:
-                            for child in children:
-                                next_store.append(child)
+                    for batch in store.stream():
+                        next_store.append(step(batch, g, counters, emit))
                 except BaseException:
                     next_store.close()
                     raise
@@ -340,19 +321,12 @@ def run_level_loop(
                 _fold_store_stats(store, result.domain_stats)
                 store = next_store
                 k += 1
-                counters.levels = k
-                result.level_stats.append(
-                    _measure_store(
-                        k, store, counters.maximal_emitted - before, g.n
-                    )
-                )
                 span.set(
                     sublists=store.n_sublists,
                     candidates=store.n_candidates,
                     emitted=counters.maximal_emitted - before,
                     candidate_bytes=store.candidate_bytes,
                 )
-            result.level_seconds.append(time.perf_counter() - t_level)
         result.completed = not len(store)
     finally:
         store.close()

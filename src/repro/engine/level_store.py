@@ -15,18 +15,20 @@ policy choice (:attr:`repro.engine.config.EnumerationConfig.level_store`):
   disk as ``chunk_size``-row slices of the batch arrays and stream back
   slice by slice with counted I/O (the retired out-of-core mode, kept
   measurable);
-* :class:`CompressedLevelStore` — candidates held WAH-compressed
+* :class:`CompressedLevelStore` — candidates held WAH-compressed as
+  :class:`~repro.core.sublist.CompressedLevelBatch` arrays
   (:mod:`repro.core.compressed`), realising the paper's closing remark
   that the sparse bitmap index "can potentially provide high
-  compression rate"; decompression happens one chunk at a time as the
-  level streams back for expansion.
+  compression rate".
 
-All are driven by the same loop in :mod:`repro.engine.level_loop`.
-Every store takes single sub-lists (``append``) and yields lists of
-them (``stream``), for list-based steps such as the threads backend
-and the bit-scan ablation; the batched paths add ``append_batch`` /
-``stream_batches``.  All enforce the single-pass contract: a second
-``stream*()`` — or an ``append*()`` once streaming began — raises
+All are driven by the same loop in :mod:`repro.engine.level_loop`, and
+a level crosses every store in one currency: a store takes whole
+structure-of-arrays batches (``append``) and yields them back
+(``stream``) — raw :class:`~repro.core.sublist.CliqueLevelBatch` chunks
+for a ``"bitset"``-domain step, and on the WAH store in the ``"wah"``
+domain the stored :class:`~repro.core.sublist.CompressedLevelBatch`
+parts themselves.  All enforce the single-pass contract: a second
+``stream()`` — or an ``append()`` once streaming began — raises
 :class:`~repro.errors.LevelStoreError` instead of silently replaying or
 corrupting the level.
 """
@@ -36,15 +38,12 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro.errors import LevelStoreError, ParameterError
 from repro.core.clique_enumerator import INDEX_BYTES, POINTER_BYTES
 from repro.core.out_of_core import DiskLevelStore
-from repro.core.sublist import (
-    CliqueLevelBatch,
-    CliqueSubList,
-    CompressedLevelBatch,
-    CompressedSubList,
-)
+from repro.core.sublist import CliqueLevelBatch, CompressedLevelBatch
 
 __all__ = [
     "LevelStore",
@@ -53,22 +52,25 @@ __all__ = [
     "CompressedLevelStore",
 ]
 
+#: the compute domains a :class:`CompressedLevelStore` can stream for.
+_DOMAINS = ("bitset", "wah")
+
 
 class LevelStore(ABC):
     """Single-pass storage for one level of candidate sub-lists.
 
-    Contract: ``append`` the complete level, then ``stream`` it back
-    exactly once (in insertion order, as chunks), then ``close``.  The
-    contract is enforced — a second ``stream()`` or a late ``append()``
-    raises :class:`~repro.errors.LevelStoreError`.  The accounting
-    properties must reflect everything appended so far; the level loop
-    reads them for per-level statistics and memory budgets without
-    materialising the level.
+    Contract: ``append`` the complete level batch by batch, then
+    ``stream`` it back exactly once (in insertion order, as batches),
+    then ``close``.  The contract is enforced — a second ``stream()``
+    or a late ``append()`` raises :class:`~repro.errors.LevelStoreError`.
+    Empty batches are ignored.  The accounting properties must reflect
+    everything appended so far; the level loop reads them for per-level
+    statistics and memory budgets without materialising the level.
     """
 
     @abstractmethod
-    def append(self, sl: CliqueSubList) -> None:
-        """Add one sub-list to the level."""
+    def append(self, batch: CliqueLevelBatch) -> None:
+        """Add one batch of sub-lists to the level."""
 
     @abstractmethod
     def __len__(self) -> int:
@@ -90,8 +92,8 @@ class LevelStore(ABC):
         """Measured candidate storage of this level, in bytes."""
 
     @abstractmethod
-    def stream(self) -> Iterator[list[CliqueSubList]]:
-        """Yield the sub-lists back in insertion order, chunk by chunk."""
+    def stream(self) -> Iterator[CliqueLevelBatch | CompressedLevelBatch]:
+        """Yield the level back in insertion order, batch by batch."""
 
     @abstractmethod
     def close(self) -> None:
@@ -105,43 +107,23 @@ class LevelStore(ABC):
 
 
 class MemoryLevelStore(LevelStore):
-    """In-memory level store: the level's parts with the paper's
+    """In-memory level store: the level's batches with the paper's
     accounting.
 
-    A part is either a whole :class:`~repro.core.sublist.
-    CliqueLevelBatch` (``append_batch``) or a run of sub-lists appended
-    one at a time (``append``); parts are held as given, never
-    concatenated.  ``stream_batches`` yields them back one batch per
-    part — on the batched level loop that is one batch for the whole
-    level, so the generation step keeps its full cross-sub-list pair
-    batching (``PAIR_BATCH``).  ``stream`` yields the entire level as a
-    single list chunk, the historical in-core behaviour.
+    Appended batches are held as given, never concatenated, and
+    streamed back one per part — on the level loop that is one batch
+    for the whole level, so the generation step keeps its full
+    cross-sub-list pair batching (``PAIR_BATCH``).
     """
 
     def __init__(self) -> None:
-        self._parts: list[list[CliqueSubList] | CliqueLevelBatch] = []
-        self._loose: list[CliqueSubList] | None = None
+        self._parts: list[CliqueLevelBatch] = []
         self._n_sublists = 0
         self._n_candidates = 0
         self._candidate_bytes = 0
         self._streamed = False
 
-    def append(self, sl: CliqueSubList) -> None:
-        """Add one sub-list to the level."""
-        if self._streamed:
-            raise LevelStoreError(
-                "append() after stream(): the level store is single-pass"
-            )
-        loose = self._loose
-        if loose is None:
-            loose = self._loose = []
-            self._parts.append(loose)
-        loose.append(sl)
-        self._n_sublists += 1
-        self._n_candidates += len(sl)
-        self._candidate_bytes += sl.nbytes(INDEX_BYTES, POINTER_BYTES)
-
-    def append_batch(self, batch: CliqueLevelBatch) -> None:
+    def append(self, batch: CliqueLevelBatch) -> None:
         """Add a whole batch of sub-lists, held as one part."""
         if self._streamed:
             raise LevelStoreError(
@@ -150,7 +132,6 @@ class MemoryLevelStore(LevelStore):
         if not len(batch):
             return
         self._parts.append(batch)
-        self._loose = None
         self._n_sublists += len(batch)
         self._n_candidates += batch.n_candidates
         self._candidate_bytes += batch.nbytes(INDEX_BYTES, POINTER_BYTES)
@@ -173,170 +154,112 @@ class MemoryLevelStore(LevelStore):
         """Measured candidate storage of this level, in bytes."""
         return self._candidate_bytes
 
-    def stream(self) -> Iterator[list[CliqueSubList]]:
-        """Yield the whole level as one chunk (full batching preserved)."""
-        if self._streamed:
-            raise LevelStoreError(
-                "stream() called twice on a single-pass level store"
-            )
-        self._streamed = True
-        return self._stream()
-
-    def _stream(self) -> Iterator[list[CliqueSubList]]:
-        if self._parts:
-            yield [
-                sl
-                for part in self._parts
-                for sl in (
-                    part if isinstance(part, list) else part.to_sublists()
-                )
-            ]
-
-    def stream_batches(self) -> Iterator[CliqueLevelBatch]:
+    def stream(self) -> Iterator[CliqueLevelBatch]:
         """Yield the level as batches, one per stored part."""
         if self._streamed:
             raise LevelStoreError(
                 "stream() called twice on a single-pass level store"
             )
         self._streamed = True
-        return self._stream_batches()
-
-    def _stream_batches(self) -> Iterator[CliqueLevelBatch]:
-        for part in self._parts:
-            if isinstance(part, list):
-                yield CliqueLevelBatch.from_sublists(part)
-            else:
-                yield part
+        return iter(self._parts)
 
     def close(self) -> None:
         """Drop the level (parts are garbage-collected)."""
         self._parts = []
-        self._loose = None
 
 
 class CompressedLevelStore(LevelStore):
     """WAH-compressed in-memory level store — the paper's "work underway".
 
-    Every appended sub-list is held as a
-    :class:`~repro.core.sublist.CompressedSubList`: tails and the
-    common-neighbor string become
-    :class:`~repro.core.compressed.WahBitmap` payloads, so
-    :attr:`candidate_bytes` — the figure the Figure-9 experiment and the
-    ``max_candidate_bytes`` budget read — is the *compressed* footprint.
-    On sparse genome-scale graphs the deep-level common-neighbor strings
-    are a few set bits in a universe of thousands, where WAH shrinks
-    them by an order of magnitude.
+    Every appended batch is held as a
+    :class:`~repro.core.sublist.CompressedLevelBatch` (a raw
+    :class:`~repro.core.sublist.CliqueLevelBatch` is compressed on the
+    way in, one vectorised encode per ``chunk_size`` sub-lists): tails
+    and the common-neighbor strings become WAH word streams, so
+    :attr:`candidate_bytes` — the figure the Figure-9 experiment and
+    the ``max_candidate_bytes`` budget read — is the *compressed*
+    footprint.  On sparse
+    genome-scale graphs the deep-level common-neighbor strings are a
+    few set bits in a universe of thousands, where WAH shrinks them by
+    an order of magnitude.  The WAH encoding is canonical, so the
+    stored words — and every accounting property — do not depend on
+    which path compressed a batch.
 
-    ``stream`` decompresses ``chunk_size`` sub-lists at a time, so at
-    most one chunk of full-width bit strings is live while the
-    generation step expands the level; everything not yet streamed stays
-    compressed.  ``stream_entries`` skips even that: it yields the
-    stored :class:`CompressedSubList` entries themselves, which is how
-    the compressed-domain generation step
-    (:class:`~repro.core.compressed_domain.CompressedExpander`,
-    ``compute_domain="wah"``) consumes a level with zero decompression.
-    Both share the single-pass contract.  The two counters
-    :attr:`decompressed_bytes` / :attr:`bypassed_bytes` record which
-    path each streamed byte took, feeding the run's
+    How the level streams back follows the run's compute ``domain``:
+
+    * ``"bitset"`` — the stored batches are decoded ``chunk_size``
+      sub-lists at a time into :class:`~repro.core.sublist.
+      CliqueLevelBatch` chunks, so at most one chunk of full-width bit
+      strings is live while the generation step expands the level;
+      everything not yet streamed stays compressed;
+    * ``"wah"`` — the stored batches are yielded joined into one
+      compressed batch, never re-encoded, for the compressed-domain
+      generation step
+      (:class:`~repro.core.compressed_domain.CompressedExpander`), with
+      zero decompression.
+
+    The two counters :attr:`decompressed_bytes` / :attr:`bypassed_bytes`
+    record which path each streamed byte took, feeding the run's
     ``domain_stats["decompressed_bytes"]`` /
     ``["decompressed_bytes_avoided"]`` telemetry.
-
-    The numpy kernel (``kernel="numpy"``) changes *how* the same bytes
-    are produced, never the bytes themselves: raw appends are buffered
-    and batch-encoded ``chunk_size`` at a time through
-    :meth:`~repro.core.sublist.CompressedLevelBatch.from_sublists`
-    (one vectorised encode instead of per-entry group walks), the
-    decompressing :meth:`stream` decodes each chunk with one vectorised
-    pass, and the :meth:`append_batch` / :meth:`stream_batches` pair
-    moves whole :class:`~repro.core.sublist.CompressedLevelBatch`
-    levels in and out without materialising per-entry objects at all —
-    the structure-of-arrays fast path of the numpy generation step.
-    The WAH encoding is canonical, so stored words — and therefore
-    every accounting property — are byte-identical across kernels.
 
     Parameters
     ----------
     chunk_size:
-        Sub-lists decompressed per streamed chunk.  Larger chunks keep
-        more of the generation step's cross-sub-list batching; smaller
-        chunks bound the transient decompressed working set.
-    kernel:
-        ``"python"`` (per-entry scalar codec) or ``"numpy"`` (batched
-        structure-of-arrays codec).  Byte-identical storage either way.
+        Sub-lists decompressed per streamed chunk in the ``"bitset"``
+        domain.  Larger chunks keep more of the generation step's
+        cross-sub-list batching; smaller chunks bound the transient
+        decompressed working set.
+    domain:
+        ``"bitset"`` (decompressing stream) or ``"wah"`` (compressed
+        stream).
     """
 
-    def __init__(self, chunk_size: int = 256, kernel: str = "python"):
+    def __init__(self, chunk_size: int = 256, domain: str = "bitset"):
         if chunk_size < 1:
             raise ParameterError(
                 f"chunk_size must be >= 1, got {chunk_size}"
             )
-        if kernel not in ("python", "numpy"):
+        if domain not in _DOMAINS:
             raise ParameterError(
-                f"kernel must be 'python' or 'numpy', got {kernel!r}"
+                f"domain must be 'bitset' or 'wah', got {domain!r}"
             )
         self.chunk_size = chunk_size
-        self.kernel = kernel
-        self._pending: list[CliqueSubList] = []
-        #: ordered mix of per-entry and whole-batch parts; insertion
-        #: order across both kinds is the level's canonical order.
-        self._parts: list[CompressedSubList | CompressedLevelBatch] = []
+        self.domain = domain
+        self._parts: list[CompressedLevelBatch] = []
         self._n_sublists = 0
         self._n_candidates = 0
         self._candidate_bytes = 0
         self._uncompressed_bytes = 0
         self._streamed = False
-        #: raw sub-list bytes materialised by the decompressing stream().
+        #: raw sub-list bytes materialised by a ``"bitset"`` stream.
         self.decompressed_bytes = 0
-        #: raw-equivalent bytes that stayed compressed through
-        #: stream_entries() — the "decompressed bytes avoided".
+        #: raw-equivalent bytes a ``"wah"`` stream handed over still
+        #: compressed — the "decompressed bytes avoided".
         self.bypassed_bytes = 0
 
-    def append(self, sl: CliqueSubList | CompressedSubList) -> None:
-        """Store one sub-list, compressing unless it already is.
-
-        A :class:`CompressedSubList` (as produced by the
-        compressed-domain generation step) is stored as-is — no
-        re-encode; the WAH encoder is canonical, so the stored words
-        are identical either way.
-        """
+    def append(
+        self, batch: CliqueLevelBatch | CompressedLevelBatch
+    ) -> None:
+        """Store a batch compressed; a raw batch is encoded
+        ``chunk_size`` sub-lists at a time, which bounds the codec's
+        transient bit matrices as the decoding stream does."""
         if self._streamed:
             raise LevelStoreError(
                 "append() after stream(): the level store is single-pass"
             )
-        if isinstance(sl, CompressedSubList):
-            entry = sl
-            uncompressed = entry.uncompressed_nbytes(
-                INDEX_BYTES, POINTER_BYTES
-            )
-        elif self.kernel == "numpy":
-            # buffer raw appends and batch-encode a chunk at a time —
-            # canonical words, so accounting is unchanged byte for byte
-            self._pending.append(sl)
-            if len(self._pending) >= self.chunk_size:
-                self._flush_pending()
+        if isinstance(batch, CompressedLevelBatch):
+            self._hold(batch)
             return
-        else:
-            entry = CompressedSubList.from_sublist(sl)
-            uncompressed = sl.nbytes(INDEX_BYTES, POINTER_BYTES)
-        self._account(entry, uncompressed)
+        n, step = len(batch), self.chunk_size
+        for lo in range(0, n, step):
+            self._hold(CompressedLevelBatch.from_level(
+                batch.slice(lo, min(lo + step, n))
+            ))
 
-    def _account(
-        self, entry: CompressedSubList, uncompressed: int
-    ) -> None:
-        self._parts.append(entry)
-        self._n_sublists += 1
-        self._n_candidates += len(entry)
-        self._candidate_bytes += entry.nbytes(INDEX_BYTES, POINTER_BYTES)
-        self._uncompressed_bytes += uncompressed
-
-    def _flush_pending(self) -> None:
-        pending, self._pending = self._pending, []
-        self._store_batch(CompressedLevelBatch.from_sublists(pending))
-
-    def _store_batch(self, batch: CompressedLevelBatch) -> None:
-        # batch.nbytes()/uncompressed_nbytes() equal the per-entry sums
-        # exactly (same formulas over the same canonical words), so the
-        # bulk charge is byte-identical to entry-at-a-time accounting.
+    def _hold(self, batch: CompressedLevelBatch) -> None:
+        if not len(batch):
+            return
         self._parts.append(batch)
         self._n_sublists += len(batch)
         self._n_candidates += int(batch.n_tails.sum())
@@ -345,56 +268,28 @@ class CompressedLevelStore(LevelStore):
             INDEX_BYTES, POINTER_BYTES
         )
 
-    def append_batch(
-        self, batch: CompressedLevelBatch | CliqueLevelBatch
-    ) -> None:
-        """Store a whole compressed level batch (numpy fast path).
-
-        The batch is held as-is — one part, no per-entry objects — and
-        accounted in bulk; :meth:`stream_batches` later yields it back
-        untouched, so a batches-mode level loop never materialises an
-        entry.  Equivalent byte for byte to appending
-        ``batch.to_entries()`` one at a time.  A raw
-        :class:`~repro.core.sublist.CliqueLevelBatch` (the level loop's
-        seed) is compressed first, with one vectorised encode.
-        """
-        if self._streamed:
-            raise LevelStoreError(
-                "append() after stream(): the level store is single-pass"
-            )
-        if isinstance(batch, CliqueLevelBatch):
-            batch = CompressedLevelBatch.from_level(batch)
-        if len(batch):
-            self._store_batch(batch)
-
     def __len__(self) -> int:
-        return self._n_sublists + len(self._pending)
+        return self._n_sublists
 
     @property
     def n_sublists(self) -> int:
         """The paper's ``N[k]`` for this level."""
-        return self._n_sublists + len(self._pending)
+        return self._n_sublists
 
     @property
     def n_candidates(self) -> int:
         """The paper's ``M[k]`` for this level."""
-        if self._pending:
-            self._flush_pending()
         return self._n_candidates
 
     @property
     def candidate_bytes(self) -> int:
         """Measured *compressed* candidate storage, in bytes."""
-        if self._pending:
-            self._flush_pending()
         return self._candidate_bytes
 
     @property
     def uncompressed_bytes(self) -> int:
         """What :class:`MemoryLevelStore` would have charged for this
         level — the baseline for :meth:`compression_ratio`."""
-        if self._pending:
-            self._flush_pending()
         return self._uncompressed_bytes
 
     def compression_ratio(self) -> float:
@@ -403,151 +298,46 @@ class CompressedLevelStore(LevelStore):
             return 1.0
         return self._uncompressed_bytes / self._candidate_bytes
 
-    def entries(self) -> list[CompressedSubList]:
-        """The compressed sub-lists, for compressed-domain consumers."""
-        if self._pending:
-            self._flush_pending()
-        out: list[CompressedSubList] = []
-        for part in self._parts:
-            if isinstance(part, CompressedLevelBatch):
-                out.extend(part.to_entries())
-            else:
-                out.append(part)
-        return out
-
-    def _iter_runs(
-        self,
-    ) -> Iterator[CompressedLevelBatch | list[CompressedSubList]]:
-        """The stored parts in insertion order: whole batches as-is,
-        loose entries re-chunked ``chunk_size`` at a time between them.
-        """
-        buf: list[CompressedSubList] = []
-        for part in self._parts:
-            if isinstance(part, CompressedLevelBatch):
-                if buf:
-                    yield buf
-                    buf = []
-                yield part
-            else:
-                buf.append(part)
-                if len(buf) >= self.chunk_size:
-                    yield buf
-                    buf = []
-        if buf:
-            yield buf
-
-    def stream(self) -> Iterator[list[CliqueSubList]]:
-        """Decompress and yield ``chunk_size`` sub-lists at a time."""
+    def stream(self) -> Iterator[CliqueLevelBatch | CompressedLevelBatch]:
+        """Yield the level in the store's domain (see the class doc)."""
         if self._streamed:
             raise LevelStoreError(
                 "stream() called twice on a single-pass level store"
             )
-        if self._pending:
-            self._flush_pending()
         self._streamed = True
         return self._stream()
 
-    def _stream(self) -> Iterator[list[CliqueSubList]]:
-        for run in self._iter_runs():
-            if isinstance(run, CompressedLevelBatch):
-                self.decompressed_bytes += run.uncompressed_nbytes(
-                    INDEX_BYTES, POINTER_BYTES
-                )
-                yield run.to_sublists()
-                continue
-            self.decompressed_bytes += sum(
-                entry.uncompressed_nbytes(INDEX_BYTES, POINTER_BYTES)
-                for entry in run
+    def _stream(self) -> Iterator[CliqueLevelBatch | CompressedLevelBatch]:
+        if not self._parts:
+            return
+        # the parts are joined once (compressed words only): the wah
+        # step gets the whole level, and decoded chunks run across part
+        # boundaries, so every chunk but the last is full
+        level = CompressedLevelBatch.concat(self._parts)
+        self._parts = []
+        if self.domain == "wah":
+            self.bypassed_bytes += level.uncompressed_nbytes(
+                INDEX_BYTES, POINTER_BYTES
             )
-            if self.kernel == "numpy":
-                yield CompressedLevelBatch.from_entries(
-                    run
-                ).to_sublists()
-            else:
-                yield [entry.to_sublist() for entry in run]
-
-    def stream_batches(self) -> Iterator[CompressedLevelBatch]:
-        """Yield the level as :class:`CompressedLevelBatch` chunks.
-
-        The structure-of-arrays counterpart of :meth:`stream_entries`
-        for the numpy generation step: same chunking, same single-pass
-        contract, same ``bypassed_bytes`` accounting — the words never
-        leave compressed form.
-        """
-        if self._streamed:
-            raise LevelStoreError(
-                "stream() called twice on a single-pass level store"
+            yield level
+            return
+        n, step = len(level), self.chunk_size
+        for lo in range(0, n, step):
+            chunk = level.take(np.arange(lo, min(lo + step, n))).to_level()
+            self.decompressed_bytes += chunk.nbytes(
+                INDEX_BYTES, POINTER_BYTES
             )
-        if self._pending:
-            self._flush_pending()
-        self._streamed = True
-        return self._stream_batches()
+            yield chunk
 
-    def _stream_batches(self) -> Iterator[CompressedLevelBatch]:
-        # consecutive batch parts are coalesced into one yield: the
-        # consumer's per-call fixed cost dominates the array concat, and
-        # nothing decompresses either way, so no working-set concern
-        batch_run: list[CompressedLevelBatch] = []
-        for run in self._iter_runs():
-            if isinstance(run, CompressedLevelBatch):
-                batch_run.append(run)
-                continue
-            if batch_run:
-                yield self._merge_batches(batch_run)
-                batch_run = []
-            self.bypassed_bytes += sum(
-                entry.uncompressed_nbytes(INDEX_BYTES, POINTER_BYTES)
-                for entry in run
-            )
-            yield CompressedLevelBatch.from_entries(run)
-        if batch_run:
-            yield self._merge_batches(batch_run)
-
-    def _merge_batches(
-        self, batch_run: list[CompressedLevelBatch]
-    ) -> CompressedLevelBatch:
-        merged = CompressedLevelBatch.concat(batch_run)
-        self.bypassed_bytes += merged.uncompressed_nbytes(
-            INDEX_BYTES, POINTER_BYTES
-        )
-        return merged
-
-    def stream_entries(self) -> Iterator[list[CompressedSubList]]:
-        """Yield the compressed entries themselves, never decompressing.
-
-        The zero-round-trip counterpart of :meth:`stream` for
-        compressed-domain consumers; shares the same single-pass
-        contract (one streaming pass total, whichever method starts
-        it).  Chunking follows ``chunk_size`` so the generation step's
-        chunk granularity matches the decompressing path.
-        """
-        if self._streamed:
-            raise LevelStoreError(
-                "stream() called twice on a single-pass level store"
-            )
-        if self._pending:
-            self._flush_pending()
-        self._streamed = True
-        return self._stream_entries()
-
-    def _stream_entries(self) -> Iterator[list[CompressedSubList]]:
-        for run in self._iter_runs():
-            if isinstance(run, CompressedLevelBatch):
-                self.bypassed_bytes += run.uncompressed_nbytes(
-                    INDEX_BYTES, POINTER_BYTES
-                )
-                yield run.to_entries()
-                continue
-            self.bypassed_bytes += sum(
-                entry.uncompressed_nbytes(INDEX_BYTES, POINTER_BYTES)
-                for entry in run
-            )
-            yield run
+    # perfbench/layers.py wraps these names as well as append/stream,
+    # and perfbench/ stays fixed while the engine changes, so they are
+    # kept as aliases of the one interface
+    append_batch = append
+    stream_batches = stream_entries = stream
 
     def close(self) -> None:
         """Drop the compressed level."""
         self._parts = []
-        self._pending = []
 
 
 # The disk substrate implements the same interface structurally; register

@@ -39,14 +39,17 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from repro.errors import ParameterError
+from repro.core.bitset import WORD_BITS
 from repro.core.clique_enumerator import (
     EnumerationResult,
     generate_next_level,
 )
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
-from repro.core.sublist import CliqueSubList
+from repro.core.sublist import CliqueLevelBatch, CompressedLevelBatch
 from repro.obs.runtime import get_observability
 from repro.parallel.load_balancer import StealingWorkQueue
 from repro.parallel.metrics import worker_load_balance
@@ -63,6 +66,9 @@ __all__ = [
 #: large enough that the queue lock is touched once per chunk, not once
 #: per sub-list.
 DEFAULT_STEAL_GRANULARITY = 4
+
+#: a level batch in either compute domain
+Batch = CliqueLevelBatch | CompressedLevelBatch
 
 #: cliques per ``emit.batch`` call when draining a merged level through
 #: the sink: one budget check and one lock round-trip per EMIT_BATCH
@@ -180,28 +186,30 @@ class ThreadedExpander:
 
     def step(
         self,
-        sublists: list[CliqueSubList],
+        batch: Batch,
         g: Graph,
         counters: OpCounters,
         emit: Callable[[tuple[int, ...]], None],
-    ) -> list[CliqueSubList]:
+    ) -> Batch:
         """One level (or store chunk) of generation, fanned across the pool.
 
-        Workers expand stolen-or-local chunks into *local* clique and
-        child lists with *local* counters; at the barrier the locals
-        merge (``OpCounters.merge``), cliques are emitted through
-        ``emit`` in canonical order, and children are returned sorted
-        by prefix — the exact sequence the sequential step produces.
-        ``emit`` runs only on the calling thread, after the barrier, so
-        a raising sink (budget trip, cancellation, broken ``jsonl``
-        target) propagates without a worker deadlock: workers never
-        block on anything but finished work.
+        The batch's rows are LPT-partitioned by their work estimates;
+        workers expand stolen-or-local row chunks (``batch.take(rows)``)
+        into *local* clique lists and child batches with *local*
+        counters.  At the barrier the locals merge
+        (``OpCounters.merge``), cliques are emitted through ``emit`` in
+        canonical order, and the children are joined and put back in
+        prefix order with one lexsort — the exact level the sequential
+        step produces.  ``emit`` runs only on the calling thread, after
+        the barrier, so a raising sink (budget trip, cancellation,
+        broken ``jsonl`` target) propagates without a worker deadlock:
+        workers never block on anything but finished work.
         """
-        if self.n_workers == 1 or len(sublists) < 2:
-            return self._step(sublists, g, counters, emit)
+        if self.n_workers == 1 or len(batch) < 2:
+            return self._step(batch, g, counters, emit)
         queue = StealingWorkQueue.from_partition(
-            sublists,
-            [sl.work_estimate() for sl in sublists],
+            list(range(len(batch))),
+            _work_estimates(batch),
             self.n_workers,
             graph_size=g.n,
             steal_granularity=self.steal_granularity,
@@ -209,7 +217,7 @@ class ThreadedExpander:
         stop = threading.Event()
         pool = self._ensure_pool()
         futures = [
-            pool.submit(self._drain, w, queue, g, stop)
+            pool.submit(self._drain, w, queue, batch, g, stop)
             for w in range(self.n_workers)
         ]
         outcomes = []
@@ -229,7 +237,7 @@ class ThreadedExpander:
         self.steals += queue.steals
         self.stolen_sublists += queue.stolen_items
         cliques: list[tuple[int, ...]] = []
-        children: list[CliqueSubList] = []
+        children: list[Batch] = []
         step_busy = []
         for worker, (
             worker_counters, worker_cliques, worker_children, busy
@@ -256,8 +264,11 @@ class ThreadedExpander:
         # canonically within the level, children ascend by (unique)
         # prefix — identical to the order one worker would have produced
         self._emit_cliques(sorted(cliques), emit)
-        children.sort(key=lambda sl: sl.prefix)
-        return children
+        level = type(batch).concat(children)
+        if len(level) < 2:
+            return level
+        prefixes = np.asarray(level.prefixes, dtype=np.int64)
+        return level.take(np.lexsort(prefixes.T[::-1]))
 
     def _emit_cliques(
         self,
@@ -285,10 +296,11 @@ class ThreadedExpander:
         self,
         worker: int,
         queue: StealingWorkQueue,
+        batch: Batch,
         g: Graph,
         stop: threading.Event,
     ) -> tuple[OpCounters, list, list, float]:
-        """Worker body: pull chunks (local, then stolen) until dry.
+        """Worker body: pull row chunks (local, then stolen) until dry.
 
         Returns the worker's locals plus the wall-clock it spent inside
         the step — the per-worker busy time the load-balance stats and
@@ -296,15 +308,25 @@ class ThreadedExpander:
         """
         counters = OpCounters()
         cliques: list[tuple[int, ...]] = []
-        children: list[CliqueSubList] = []
+        children: list[Batch] = []
         busy = 0.0
         while not stop.is_set():
-            chunk = queue.take(worker)
-            if chunk is None:
+            rows = queue.take(worker)
+            if rows is None:
                 break
             t0 = time.perf_counter()
-            children.extend(
-                self._step(chunk, g, counters, cliques.append)
+            children.append(
+                self._step(batch.take(rows), g, counters, cliques.append)
             )
             busy += time.perf_counter() - t0
         return counters, cliques, children, busy
+
+
+def _work_estimates(batch: Batch) -> list[int]:
+    """:meth:`~repro.core.sublist.CliqueSubList.work_estimate` of every
+    row of ``batch``, from its tail counts and bit-string width."""
+    if isinstance(batch, CompressedLevelBatch):
+        tails, words = batch.n_tails, batch.universe // WORD_BITS
+    else:
+        tails, words = np.diff(batch.offsets), batch.cn_words.shape[1]
+    return (tails * (tails - 1) // 2 + tails * max(1, words // 8)).tolist()

@@ -13,17 +13,18 @@ from repro.core.clique_enumerator import (
 )
 from repro.core.counters import OpCounters
 from repro.core.generators import erdos_renyi, planted_clique
+from repro.core.sublist import CliqueLevelBatch
 
 
 def _run_full(g, step):
     """Drive a full enumeration with the given generation step."""
     counters = OpCounters()
     cliques: list[tuple[int, ...]] = []
-    sublists = build_initial_sublists(
+    level = CliqueLevelBatch.from_sublists(build_initial_sublists(
         g, counters, cliques.append, emit_maximal_edges=True
-    )
-    while sublists:
-        sublists = step(sublists, g, counters, cliques.append)
+    ))
+    while len(level):
+        level = step(level, g, counters, cliques.append)
     return sorted(cliques), counters
 
 

@@ -12,7 +12,7 @@ from repro.core.out_of_core import (
     IOStats,
     enumerate_maximal_cliques_ooc,
 )
-from repro.core.sublist import CliqueSubList
+from repro.core.sublist import CliqueLevelBatch, CliqueSubList
 from repro.errors import ParameterError
 
 
@@ -26,27 +26,37 @@ def _sl(prefix, tails, n=32):
     )
 
 
+def _batch(*sublists):
+    return CliqueLevelBatch.from_sublists(list(sublists))
+
+
 class TestDiskLevelStore:
     def test_roundtrip(self, tmp_path):
         with DiskLevelStore(tmp_path, chunk_size=2) as store:
             items = [_sl([0], [1, 2]), _sl([1], [2, 3]), _sl([2], [3, 4])]
-            for sl in items:
-                store.append(sl)
+            store.append(_batch(*items[:1]))
+            store.append(_batch(*items[1:]))
             assert len(store) == 3
-            back = [sl for chunk in store.stream() for sl in chunk]
+            back = [
+                sl for chunk in store.stream() for sl in chunk.to_sublists()
+            ]
         assert [sl.prefix for sl in back] == [(0,), (1,), (2,)]
         assert all(
-            np.array_equal(a.tails, b.tails) for a, b in zip(items, back)
+            np.array_equal(a.tails, b.tails)
+            and np.array_equal(a.cn_words, b.cn_words)
+            for a, b in zip(items, back)
         )
 
     def test_empty_store_streams_nothing(self, tmp_path):
         with DiskLevelStore(tmp_path) as store:
+            store.append(CliqueLevelBatch.empty(2, 1))
+            assert len(store) == 0
             assert list(store.stream()) == []
 
     def test_io_stats_counted(self, tmp_path):
         stats = IOStats()
         with DiskLevelStore(tmp_path, chunk_size=1, stats=stats) as store:
-            store.append(_sl([0], [1, 2]))
+            store.append(_batch(_sl([0], [1, 2])))
             list(store.stream())
         assert stats.write_ops == 1
         assert stats.read_ops == 1
@@ -58,9 +68,10 @@ class TestDiskLevelStore:
         stats = IOStats()
         with DiskLevelStore(tmp_path, chunk_size=4, stats=stats) as store:
             for i in range(10):
-                store.append(_sl([i], [i + 1, i + 2]))
+                store.append(_batch(_sl([i], [i + 1, i + 2])))
             chunks = list(store.stream())
         assert [len(c) for c in chunks] == [4, 4, 2]
+        assert all(isinstance(c, CliqueLevelBatch) for c in chunks)
         assert stats.write_ops == 3
 
     def test_invalid_chunk_size(self):
@@ -69,7 +80,7 @@ class TestDiskLevelStore:
 
     def test_temp_dir_mode(self):
         with DiskLevelStore() as store:
-            store.append(_sl([0], [1, 2]))
+            store.append(_batch(_sl([0], [1, 2])))
             assert len(list(store.stream())) == 1
 
 

@@ -17,6 +17,9 @@ it pays.
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ParameterError
@@ -27,7 +30,7 @@ from repro.core.generators import (
     planted_clique,
 )
 from repro.core.graph import Graph
-from repro.core.sublist import CliqueSubList, CompressedSubList
+from repro.core.sublist import CliqueLevelBatch, CompressedLevelBatch
 from repro.engine import (
     COMPUTE_DOMAINS,
     EnumerationConfig,
@@ -209,30 +212,35 @@ class TestDomainTelemetry:
         assert all(s >= 0 for s in res.level_seconds)
 
 
+def _seed(g) -> CliqueLevelBatch:
+    """The level-2 seed of ``g`` as the level loop stores it."""
+    from repro.core.counters import OpCounters
+    from repro.engine.level_loop import seed_level
+
+    _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
+    return CliqueLevelBatch.from_sublists(seed)
+
+
 class TestCompressedStream:
     """The zero-round-trip store surface the wah domain rides on."""
 
-    def _store_with(self, g, k=3):
-        store = CompressedLevelStore(chunk_size=2)
-        from repro.core.counters import OpCounters
-        from repro.engine.level_loop import seed_level
-
-        _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
-        for sl in seed:
-            store.append(sl)
+    def _store_with(self, g, domain="wah"):
+        store = CompressedLevelStore(chunk_size=2, domain=domain)
+        store.append(_seed(g))
         return store
 
     def test_stream_entries_yields_compressed(self):
+        """In the wah domain the store hands over its compressed
+        batches; ``stream_entries`` is an alias of that one stream."""
+        assert CompressedLevelStore.stream_entries is (
+            CompressedLevelStore.stream
+        )
         g, _ = planted_clique(40, 6, 0.1, seed=3)
         store = self._store_with(g)
         chunks = list(store.stream_entries())
         assert chunks
-        assert all(
-            isinstance(e, CompressedSubList)
-            for chunk in chunks
-            for e in chunk
-        )
-        assert store.bypassed_bytes > 0
+        assert all(isinstance(c, CompressedLevelBatch) for c in chunks)
+        assert store.bypassed_bytes == store.uncompressed_bytes > 0
         assert store.decompressed_bytes == 0
 
     def test_stream_entries_shares_single_pass_contract(self):
@@ -243,25 +251,20 @@ class TestCompressedStream:
         list(store.stream_entries())
         with pytest.raises(LevelStoreError, match="single-pass"):
             store.stream()
-        store2 = self._store_with(g)
+        store2 = self._store_with(g, domain="bitset")
         list(store2.stream())
         with pytest.raises(LevelStoreError, match="single-pass"):
-            store2.stream_entries()
+            store2.stream_batches()
 
     def test_native_compressed_append_identical_accounting(self):
-        """Appending a CompressedSubList directly (the wah-domain path)
-        charges the same bytes as compressing the equivalent raw
-        sub-list (the bitset path) — so per-level stats stay
-        byte-identical across domains."""
+        """Appending a compressed batch directly (the wah-domain path)
+        charges the same bytes as compressing the equivalent raw batch
+        (the bitset path) — so per-level stats stay byte-identical
+        across domains."""
         g, _ = planted_clique(40, 6, 0.1, seed=3)
         raw_store = self._store_with(g)
         native_store = CompressedLevelStore(chunk_size=2)
-        from repro.core.counters import OpCounters
-        from repro.engine.level_loop import seed_level
-
-        _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
-        for sl in seed:
-            native_store.append(CompressedSubList.from_sublist(sl))
+        native_store.append(CompressedLevelBatch.from_level(_seed(g)))
         assert native_store.candidate_bytes == raw_store.candidate_bytes
         assert native_store.n_candidates == raw_store.n_candidates
         assert (
@@ -275,46 +278,48 @@ class TestCompressedExpander:
             CompressedExpander(Graph(4), model="vectorised")
 
     def test_work_estimate_parity(self):
-        """LPT partitioning sees identical weights in both forms."""
-        g = erdos_renyi(80, 0.2, seed=2)
-        from repro.core.counters import OpCounters
-        from repro.engine.level_loop import seed_level
+        """LPT partitioning sees identical weights in both forms, equal
+        to the per-sub-list estimate."""
+        from repro.parallel.thread_backend import _work_estimates
 
-        _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
-        assert seed
-        for sl in seed:
-            assert (
-                CompressedSubList.from_sublist(sl).work_estimate()
-                == sl.work_estimate()
-            )
+        g = erdos_renyi(80, 0.2, seed=2)
+        seed = _seed(g)
+        assert len(seed)
+        expected = [sl.work_estimate() for sl in seed.to_sublists()]
+        assert _work_estimates(seed) == expected
+        assert _work_estimates(
+            CompressedLevelBatch.from_level(seed)
+        ) == expected
 
     def test_step_signature_matches_generation_step(self):
         """The expander is a drop-in GenerationStep: same call shape,
-        same children as the reference on raw sub-lists."""
+        same children as the reference, in the input batch's form."""
         from repro.core.clique_enumerator import generate_next_level
         from repro.core.counters import OpCounters
-        from repro.engine.level_loop import seed_level
 
         g, _ = planted_clique(50, 7, 0.12, seed=5)
-        _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
-        ref_counters, wah_counters = OpCounters(), OpCounters()
+        seed = _seed(g)
+        ref_counters = OpCounters()
         ref_cliques: list = []
-        wah_cliques: list = []
-        ref_children = generate_next_level(
+        ref = generate_next_level(
             seed, g, ref_counters, ref_cliques.append
         )
-        expander = CompressedExpander(g, model="pairs")
-        wah_children = expander.step(
-            seed, g, wah_counters, wah_cliques.append
-        )
-        assert wah_cliques == ref_cliques
-        assert wah_counters.snapshot() == ref_counters.snapshot()
-        assert len(wah_children) == len(ref_children)
-        for ours, theirs in zip(wah_children, ref_children):
-            assert isinstance(ours, CliqueSubList)
-            assert ours.prefix == theirs.prefix
-            assert ours.tails.tolist() == theirs.tails.tolist()
-            assert (ours.cn_words == theirs.cn_words).all()
+        for kernel, level in itertools.product(
+            ("python", "numpy"),
+            (seed, CompressedLevelBatch.from_level(seed)),
+        ):
+            expander = CompressedExpander(g, model="pairs", kernel=kernel)
+            counters, cliques = OpCounters(), []
+            children = expander.step(level, g, counters, cliques.append)
+            assert cliques == ref_cliques
+            assert counters.snapshot() == ref_counters.snapshot()
+            assert type(children) is type(level)
+            if isinstance(children, CompressedLevelBatch):
+                children = children.to_level()
+            for name in ("prefixes", "offsets", "tails", "cn_words"):
+                assert np.array_equal(
+                    getattr(children, name), getattr(ref, name)
+                )
 
 
 class TestWireProtocol:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import bitset as bs
 from repro.core.generators import complete_graph, erdos_renyi
-from repro.core.sublist import CliqueSubList
+from repro.core.sublist import CliqueLevelBatch, CliqueSubList
 from repro.engine import (
     DiskLevelStore,
     EnumerationConfig,
@@ -433,8 +433,8 @@ class TestRegistry:
 class TestLevelStores:
     def test_memory_store_accounting(self):
         store = MemoryLevelStore()
-        store.append(_sl([0], [1, 2]))
-        store.append(_sl([1], [2, 3, 4]))
+        store.append(CliqueLevelBatch.from_sublists([_sl([0], [1, 2])]))
+        store.append(CliqueLevelBatch.from_sublists([_sl([1], [2, 3, 4])]))
         assert len(store) == 2
         assert store.n_sublists == 2
         assert store.n_candidates == 5
@@ -443,11 +443,13 @@ class TestLevelStores:
     def test_memory_store_single_chunk(self):
         store = MemoryLevelStore()
         items = [_sl([0], [1, 2]), _sl([1], [2, 3])]
-        for sl in items:
-            store.append(sl)
+        batch = CliqueLevelBatch.from_sublists(items)
+        store.append(batch)
         chunks = list(store.stream())
-        assert len(chunks) == 1
-        assert chunks[0] == items
+        assert chunks == [batch]
+        assert [sl.prefix for sl in chunks[0].to_sublists()] == [
+            sl.prefix for sl in items
+        ]
 
     def test_empty_memory_store_streams_nothing(self):
         assert list(MemoryLevelStore().stream()) == []
@@ -460,8 +462,9 @@ class TestLevelStores:
     def test_disk_store_accounting_matches_memory(self, tmp_path):
         mem, disk = MemoryLevelStore(), DiskLevelStore(tmp_path)
         for sl in (_sl([0], [1, 2]), _sl([1], [2, 3, 4])):
-            mem.append(sl)
-            disk.append(sl)
+            batch = CliqueLevelBatch.from_sublists([sl])
+            mem.append(batch)
+            disk.append(batch)
         assert disk.n_sublists == mem.n_sublists
         assert disk.n_candidates == mem.n_candidates
         assert disk.candidate_bytes == mem.candidate_bytes

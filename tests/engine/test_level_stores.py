@@ -12,6 +12,7 @@ from repro.core.generators import erdos_renyi, overlapping_cliques
 from repro.core.sublist import (
     CliqueLevelBatch,
     CliqueSubList,
+    CompressedLevelBatch,
     CompressedSubList,
 )
 from repro.engine import (
@@ -42,12 +43,26 @@ def _sl(prefix, tails, n=256):
     )
 
 
-def _stores(tmp_path):
+def _stores(tmp_path, chunk_size=256):
     return {
         "memory": MemoryLevelStore(),
-        "disk": DiskLevelStore(tmp_path),
-        "wah": CompressedLevelStore(),
+        "disk": DiskLevelStore(tmp_path, chunk_size),
+        "wah": CompressedLevelStore(chunk_size),
     }
+
+
+def _batch(first: int, count: int) -> CliqueLevelBatch:
+    """``count`` level-2 sub-lists with prefixes ``first, first + 1...``"""
+    if not count:
+        return CliqueLevelBatch.empty(2, bs.n_words(256))
+    return CliqueLevelBatch.from_sublists(
+        [_sl([v], [v + 1, v + 2, v + 3]) for v in range(first, first + count)]
+    )
+
+
+def _rows(chunks) -> list[tuple[int, ...]]:
+    """Streamed batches as their sub-lists' prefixes, in order."""
+    return [sl.prefix for chunk in chunks for sl in chunk.to_sublists()]
 
 
 class TestSinglePassContract:
@@ -57,7 +72,7 @@ class TestSinglePassContract:
     @pytest.mark.parametrize("name", LEVEL_STORES)
     def test_second_stream_raises(self, name, tmp_path):
         store = _stores(tmp_path)[name]
-        store.append(_sl([0], [1, 2]))
+        store.append(_batch(0, 1))
         assert sum(len(c) for c in store.stream()) == 1
         with pytest.raises(LevelStoreError, match="twice"):
             store.stream()
@@ -67,7 +82,7 @@ class TestSinglePassContract:
     def test_second_stream_raises_even_unconsumed(self, name, tmp_path):
         """The violation is detected at call time, not first-next."""
         store = _stores(tmp_path)[name]
-        store.append(_sl([0], [1, 2]))
+        store.append(_batch(0, 1))
         store.stream()  # never iterated
         with pytest.raises(LevelStoreError):
             store.stream()
@@ -76,95 +91,89 @@ class TestSinglePassContract:
     @pytest.mark.parametrize("name", LEVEL_STORES)
     def test_append_after_stream_raises(self, name, tmp_path):
         store = _stores(tmp_path)[name]
-        store.append(_sl([0], [1, 2]))
+        store.append(_batch(0, 1))
         list(store.stream())
         with pytest.raises(LevelStoreError, match="single-pass"):
-            store.append(_sl([1], [2, 3]))
+            store.append(_batch(1, 1))
         store.close()
 
     @pytest.mark.parametrize("name", LEVEL_STORES)
     def test_close_stays_idempotent(self, name, tmp_path):
         store = _stores(tmp_path)[name]
-        store.append(_sl([0], [1, 2]))
+        store.append(_batch(0, 1))
         store.close()
         store.close()
-
-
-def _batch(first: int, count: int) -> CliqueLevelBatch:
-    """``count`` level-2 sub-lists with prefixes ``first, first + 1...``"""
-    return CliqueLevelBatch.from_sublists(
-        [_sl([v], [v + 1, v + 2, v + 3]) for v in range(first, first + count)]
-    )
-
-
-def _rows(chunks) -> list[tuple[int, ...]]:
-    """Stream chunks (lists or batches) as their sub-lists' prefixes."""
-    out = []
-    for chunk in chunks:
-        if isinstance(chunk, CliqueLevelBatch):
-            chunk = chunk.to_sublists()
-        out.extend(sl.prefix for sl in chunk)
-    return out
 
 
 class TestBatchedStores:
-    """``append_batch`` / ``stream_batches`` on the memory and disk
-    stores: same accounting, same order, same single-pass contract."""
+    """The one store interface — ``append(batch)`` / ``stream()`` —
+    on every store: same accounting, same order, same single-pass
+    contract."""
 
-    @pytest.mark.parametrize("name", ["memory", "disk"])
+    @pytest.mark.parametrize("name", LEVEL_STORES)
     def test_accounting_equals_per_sublist_appends(self, name, tmp_path):
-        batched, single = _stores(tmp_path)[name], _stores(tmp_path)[name]
-        for part in (_batch(0, 5), _batch(5, 3)):
-            batched.append_batch(part)
-            for sl in part.to_sublists():
-                single.append(sl)
-        for attr in ("n_sublists", "n_candidates", "candidate_bytes"):
-            assert getattr(batched, attr) == getattr(single, attr)
-        assert len(batched) == 8
-        batched.close()
-        single.close()
-
-    @pytest.mark.parametrize("name", ["memory", "disk"])
-    @pytest.mark.parametrize("method", ["stream", "stream_batches"])
-    def test_mixed_appends_stream_in_order(self, name, method, tmp_path):
         store = _stores(tmp_path)[name]
-        store.append_batch(_batch(0, 3))
-        store.append(_sl([3], [4, 5]))
-        store.append_batch(_batch(4, 2))
-        store.append_batch(_batch(6, 0))  # empty: ignored
-        assert _rows(getattr(store, method)()) == [(v,) for v in range(6)]
+        parts = (_batch(0, 5), _batch(5, 3))
+        for part in parts:
+            store.append(part)
+        sublists = [sl for part in parts for sl in part.to_sublists()]
+        raw = sum(sl.nbytes() for sl in sublists)
+        assert len(store) == store.n_sublists == 8
+        assert store.n_candidates == sum(len(sl) for sl in sublists)
+        if name == "wah":
+            assert store.uncompressed_bytes == raw
+            entries = [CompressedSubList.from_sublist(sl) for sl in sublists]
+            assert store.candidate_bytes == sum(
+                8 * len(e.prefix) + e.tails.nbytes() + e.cn.nbytes() + 8
+                for e in entries
+            )
+        else:
+            assert store.candidate_bytes == raw
         store.close()
 
-    @pytest.mark.parametrize("name", ["memory", "disk"])
+    @pytest.mark.parametrize("name", LEVEL_STORES)
+    def test_appends_stream_in_order(self, name, tmp_path):
+        store = _stores(tmp_path, chunk_size=4)[name]
+        store.append(_batch(0, 3))
+        store.append(_batch(3, 0))  # empty: ignored
+        store.append(_batch(3, 6))
+        store.append(_batch(9, 2))
+        assert len(store) == 11
+        chunks = list(store.stream())
+        assert all(isinstance(c, CliqueLevelBatch) for c in chunks)
+        assert _rows(chunks) == [(v,) for v in range(11)]
+        store.close()
+
+    @pytest.mark.parametrize("name", LEVEL_STORES)
     def test_single_pass_across_both_methods(self, name, tmp_path):
         store = _stores(tmp_path)[name]
-        store.append_batch(_batch(0, 2))
-        list(store.stream_batches())
+        store.append(_batch(0, 2))
+        list(store.stream())
         with pytest.raises(LevelStoreError, match="twice"):
             store.stream()
-        with pytest.raises(LevelStoreError, match="twice"):
-            store.stream_batches()
         with pytest.raises(LevelStoreError, match="single-pass"):
-            store.append_batch(_batch(2, 1))
+            store.append(_batch(2, 1))
+        with pytest.raises(LevelStoreError, match="single-pass"):
+            store.append(_batch(3, 0))  # even an empty one
         store.close()
 
     def test_memory_holds_batches_as_appended(self):
         store = MemoryLevelStore()
         parts = [_batch(0, 4), _batch(4, 2)]
         for part in parts:
-            store.append_batch(part)
-        assert list(store.stream_batches()) == parts  # same objects
+            store.append(part)
+        assert list(store.stream()) == parts  # same objects
 
     def test_disk_spills_chunk_size_slices(self, tmp_path):
         store = DiskLevelStore(tmp_path, chunk_size=4)
         for first, count in ((0, 3), (3, 6), (9, 2)):
-            store.append_batch(_batch(first, count))
-        chunks = list(store.stream_batches())
+            store.append(_batch(first, count))
+        chunks = list(store.stream())
         assert [len(c) for c in chunks] == [4, 4, 3]
         assert all(isinstance(c, CliqueLevelBatch) for c in chunks)
         assert _rows(chunks) == [(v,) for v in range(11)]
         assert store.stats.write_ops == store.stats.read_ops == 3
-        assert store.stats.bytes_read == store.stats.bytes_written
+        assert store.stats.bytes_read == store.stats.bytes_written > 0
         assert not list(tmp_path.glob("*.spill"))
         store.close()
 
@@ -175,9 +184,12 @@ class TestCompressedLevelStore:
 
     def test_accounting_matches_memory_counts(self):
         mem, wah = MemoryLevelStore(), CompressedLevelStore()
-        for sl in (_sl([0], [1, 2]), _sl([1], [2, 3, 4])):
-            mem.append(sl)
-            wah.append(sl)
+        for batch in (
+            CliqueLevelBatch.from_sublists([_sl([0], [1, 2])]),
+            CliqueLevelBatch.from_sublists([_sl([1], [2, 3, 4])]),
+        ):
+            mem.append(batch)
+            wah.append(batch)
         assert wah.n_sublists == mem.n_sublists == 2
         assert wah.n_candidates == mem.n_candidates == 5
         assert wah.uncompressed_bytes == mem.candidate_bytes
@@ -188,39 +200,49 @@ class TestCompressedLevelStore:
     def test_stream_roundtrips_sublists(self):
         store = CompressedLevelStore()
         items = [_sl([0], [1, 2]), _sl([1], [2, 3, 4]), _sl([2], [5, 9])]
-        for sl in items:
-            store.append(sl)
-        streamed = [sl for chunk in store.stream() for sl in chunk]
+        store.append(CliqueLevelBatch.from_sublists(items))
+        streamed = [sl for chunk in store.stream()
+                    for sl in chunk.to_sublists()]
         assert len(streamed) == len(items)
         for got, want in zip(streamed, items):
             assert got.prefix == want.prefix
             assert np.array_equal(got.tails, want.tails)
             assert np.array_equal(got.cn_words, want.cn_words)
+        assert store.decompressed_bytes == store.uncompressed_bytes
+        assert store.bypassed_bytes == 0
 
     def test_raw_batch_compressed_on_append(self):
-        """The batched loop hands the wah store its seed as one raw
-        batch; stored words and accounting match per-sub-list appends."""
+        """A raw batch is compressed on the way in to the canonical
+        words the per-entry encoder produces, and a pre-compressed
+        batch is stored as-is with the same accounting."""
         items = [_sl([0], [1, 2]), _sl([1], [2, 3, 4]), _sl([2], [5, 9])]
-        batched = CompressedLevelStore(chunk_size=2, kernel="numpy")
-        single = CompressedLevelStore(chunk_size=2, kernel="numpy")
-        batched.append_batch(CliqueLevelBatch.from_sublists(items))
-        for sl in items:
-            single.append(sl)
+        level = CliqueLevelBatch.from_sublists(items)
+        raw = CompressedLevelStore(chunk_size=2, domain="wah")
+        native = CompressedLevelStore(chunk_size=2, domain="wah")
+        raw.append(level)
+        native.append(CompressedLevelBatch.from_level(level))
         for attr in ("n_sublists", "n_candidates", "candidate_bytes",
                      "uncompressed_bytes"):
-            assert getattr(batched, attr) == getattr(single, attr)
-        (a,), (b,) = batched.stream_batches(), single.stream_batches()
+            assert getattr(raw, attr) == getattr(native, attr)
+        (a,), (b,) = raw.stream(), native.stream()
         assert a.prefixes == b.prefixes
+        for got, sl in zip(a.to_entries(), items):
+            want = CompressedSubList.from_sublist(sl)
+            assert got.tails == want.tails and got.cn == want.cn
         for name in ("n_tails", "tails_words", "tails_offsets",
                      "cn_words", "cn_offsets"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_stream_chunks_bound_decompression(self):
+        """In the bitset domain at most ``chunk_size`` decoded rows are
+        live per chunk, across append boundaries."""
         store = CompressedLevelStore(chunk_size=2)
         for i in range(5):
-            store.append(_sl([i], [i + 1, i + 2]))
-        chunks = [len(c) for c in store.stream()]
-        assert chunks == [2, 2, 1]
+            store.append(_batch(i, 1))
+        chunks = list(store.stream())
+        assert [len(c) for c in chunks] == [2, 2, 1]
+        assert all(isinstance(c, CliqueLevelBatch) for c in chunks)
+        assert _rows(chunks) == [(v,) for v in range(5)]
 
     def test_empty_store_streams_nothing(self):
         assert list(CompressedLevelStore().stream()) == []
@@ -229,16 +251,9 @@ class TestCompressedLevelStore:
         with pytest.raises(ParameterError):
             CompressedLevelStore(chunk_size=0)
 
-    def test_entries_are_compressed_sublists(self):
-        store = CompressedLevelStore()
-        store.append(_sl([0], [1, 2]))
-        (entry,) = store.entries()
-        assert isinstance(entry, CompressedSubList)
-        assert len(entry) == 2
-        # compressed-domain ops work without any decompression
-        assert entry.cn.count() == 2
-        assert list(entry.tails.iter_indices()) == [1, 2]
-        assert entry.tails.intersect_any(entry.cn)
+    def test_invalid_domain(self):
+        with pytest.raises(ParameterError, match="domain"):
+            CompressedLevelStore(domain="raw")
 
 
 class TestLevelStorePolicy:

@@ -26,6 +26,7 @@ from repro.core.generators import (
     star_graph,
 )
 from repro.core.graph import Graph
+from repro.core.sublist import CliqueLevelBatch, CompressedLevelBatch
 from repro.engine import EnumerationConfig, EnumerationEngine
 from repro.parallel.thread_backend import (
     ThreadedExpander,
@@ -80,7 +81,9 @@ class TestExpanderSurface:
         with ThreadedExpander(4) as expander:
             assert expander._pool is None
             counters = OpCounters()
-            assert expander.step([], Graph(3), counters, lambda c: None) == []
+            empty = CliqueLevelBatch.empty(2, 1)
+            out = expander.step(empty, Graph(3), counters, lambda c: None)
+            assert isinstance(out, CliqueLevelBatch) and len(out) == 0
             # nothing to parallelise: still no pool
             assert expander._pool is None
 
@@ -102,6 +105,41 @@ class TestExpanderSurface:
                 backend="threads",
             )
         assert res.cliques == ref.cliques
+
+
+    def test_step_returns_the_sequential_level(self):
+        """Row chunks expanded in any order come back as the exact
+        batch the sequential step returns, in both compute domains."""
+        import numpy as np
+
+        from repro.core.clique_enumerator import generate_next_level
+        from repro.core.compressed_domain import CompressedExpander
+        from repro.engine.level_loop import seed_level
+
+        g = planted_partition(
+            60, [9, 8, 7], p_in=0.9, p_out=0.08, seed=4
+        )[0]
+        _, seed = seed_level(g, 2, OpCounters(), lambda c: None)
+        seed = CliqueLevelBatch.from_sublists(seed)
+        ref_counters, ref_cliques = OpCounters(), []
+        ref = generate_next_level(seed, g, ref_counters, ref_cliques.append)
+        wah = CompressedExpander(g, kernel="numpy")
+        cases = (
+            (generate_next_level, seed),
+            (wah.step, seed),
+            (wah.step, CompressedLevelBatch.from_level(seed)),
+        )
+        for step, level in cases:
+            counters, cliques = OpCounters(), []
+            with ThreadedExpander(3, steal_granularity=1, step=step) as exp:
+                out = exp.step(level, g, counters, cliques.append)
+            assert type(out) is type(level)
+            if isinstance(out, CompressedLevelBatch):
+                out = out.to_level()
+            assert cliques == ref_cliques
+            assert counters.snapshot() == ref_counters.snapshot()
+            for name in ("prefixes", "offsets", "tails", "cn_words"):
+                assert np.array_equal(getattr(out, name), getattr(ref, name))
 
 
 class TestDegenerateInputs:
