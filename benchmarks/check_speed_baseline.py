@@ -130,9 +130,10 @@ def measure() -> dict:
     # per-level ratios to the incore level medians: machine-independent
     # like the totals, but localised — a regression confined to one
     # level moves its own ratio even when faster levels mask it in the
-    # total.  Backends that do not report level timings (multiprocess
-    # folds its levels into worker round-trips) are skipped; levels
-    # under the noise floor gate nothing and are recorded as null.
+    # total.  Every backend runs the shared level loop and reports
+    # one timing per level; a backend whose level count differs from
+    # incore's is skipped.  Levels under the noise floor gate nothing
+    # and are recorded as null.
     incore_levels = level_medians["incore"]
     level_ratios: dict[str, list[float | None]] = {}
     for label, levels in level_medians.items():

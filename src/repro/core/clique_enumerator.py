@@ -119,8 +119,9 @@ class EnumerationResult:
         non-decreasing size, canonical within a size.  Empty when a
         callback consumed them instead.
     level_stats:
-        One :class:`LevelStats` per candidate level processed (empty for
-        backends that do not track levels centrally, e.g. multiprocess).
+        One :class:`LevelStats` per candidate level processed, from the
+        shared level loop every built-in backend runs (empty only for a
+        third-party backend that does not run it).
     counters:
         Operation counts (feed the parallel machine model).
     completed:
@@ -136,10 +137,10 @@ class EnumerationResult:
         Wall-clock duration of the run as measured by the engine facade
         (0.0 when the backend was invoked directly).
     n_workers:
-        Worker processes used (1 for sequential substrates).
+        Worker threads or processes used (1 for sequential substrates).
     transfers:
-        Sub-lists relayed between workers by the load-balancing
-        scheduler (0 for sequential substrates).
+        Sub-lists moved between workers while a level ran — the
+        ``threads`` backend's steals (0 for every other substrate).
     compute_domain:
         The resolved word representation the generation step ran on:
         ``"bitset"`` (raw ``uint64`` word arrays) or ``"wah"`` (the
@@ -166,12 +167,14 @@ class EnumerationResult:
     level_seconds:
         Wall-clock seconds per candidate level as timed by the shared
         level loop — entry 0 is the seeding step, entry ``i`` the
-        generation of ``level_stats[i]``.  Empty for backends that do
-        not run the shared loop.
+        generation of ``level_stats[i]``; every built-in backend,
+        ``threads`` and ``multiprocess`` included, reports them.  Empty
+        only for a third-party backend that does not run the loop.
     load_balance:
         Measured per-worker load-balance summary of a real parallel
         run (the paper's Figure 8 signal, computed for actual threaded
-        runs by :func:`repro.parallel.metrics.worker_load_balance`):
+        and multiprocess runs by
+        :func:`repro.parallel.metrics.worker_load_balance`):
         ``n_workers``, ``mean_busy`` / ``std_busy`` seconds,
         ``std_over_mean`` against the paper's ±10% criterion, and the
         transfer count.  ``None`` for sequential runs and for parallel
@@ -347,20 +350,17 @@ def _expand_chunk(
 
 
 def generate_next_level(
-    sublists: CliqueLevelBatch | list[CliqueSubList],
+    level: CliqueLevelBatch,
     g: Graph,
     counters: OpCounters,
     emit: Callable[[tuple[int, ...]], None],
-) -> CliqueLevelBatch | list[CliqueSubList]:
+) -> CliqueLevelBatch:
     """One ``GenerateKCliques`` step: level k sub-lists -> level k+1.
 
-    Emits maximal (k+1)-cliques through ``emit`` and returns the candidate
-    (k+1)-clique sub-lists in the input's form: a
-    :class:`~repro.core.sublist.CliqueLevelBatch` for a batch, a list
-    of :class:`~repro.core.sublist.CliqueSubList` for a list (converted
-    at entry and exit, for the callers outside the level loop: the
-    process workers and the machine-model trace).  Pure with respect to
-    its inputs: sub-lists are never mutated, so a parallel driver can
+    Emits maximal (k+1)-cliques through ``emit`` and returns the
+    candidate (k+1)-clique sub-lists as a
+    :class:`~repro.core.sublist.CliqueLevelBatch`.  Pure with respect
+    to its input: the batch is never mutated, so a parallel driver can
     hand disjoint rows of a level to different workers and merge the
     outputs.
 
@@ -378,12 +378,6 @@ def generate_next_level(
     scanned pair), so analyses and the machine model stay faithful to
     Figure 3 even though the word-level arithmetic is batched.
     """
-    if not isinstance(sublists, CliqueLevelBatch):
-        if not sublists:
-            return []
-        batch = CliqueLevelBatch.from_sublists(sublists)
-        return generate_next_level(batch, g, counters, emit).to_sublists()
-    level = sublists
     counts = level.offsets[1:] - level.offsets[:-1]
     pairs_cum = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts * (counts - 1) // 2, out=pairs_cum[1:])
@@ -491,7 +485,8 @@ def enumerate_maximal_cliques(
 
     This is the historical entry point, now a thin shim over the
     ``"incore"`` backend of :mod:`repro.engine` — the unified driver that
-    also powers the bit-scan, out-of-core, and multiprocess substrates.
+    also powers the bit-scan, out-of-core, threads and multiprocess
+    substrates.
     Prefer :class:`repro.engine.EnumerationEngine` for new code; this
     function remains for the paper-faithful sequential algorithm.
 

@@ -174,6 +174,12 @@ class CliqueLevelBatch:
             + len(self) * pointer_bytes
         )
 
+    def work_estimates(self) -> list[int]:
+        """:meth:`CliqueSubList.work_estimate` of every sub-list."""
+        return _work_estimates(
+            np.diff(self.offsets), self.cn_words.shape[1]
+        )
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -384,6 +390,11 @@ class CompressedLevelBatch:
     def n_groups(self) -> int:
         """Shared WAH group count of every stream in the batch."""
         return (self.universe + 30) // 31
+
+    def work_estimates(self) -> list[int]:
+        """:meth:`CliqueSubList.work_estimate` of every entry, from its
+        tail count and raw bit-string width."""
+        return _work_estimates(self.n_tails, self.universe // WORD_BITS)
 
     # -- constructors ------------------------------------------------------
 
@@ -600,3 +611,8 @@ class CompressedLevelBatch:
             f"universe={self.universe}, "
             f"words={int(self.tails_words.size + self.cn_words.size)})"
         )
+
+
+def _work_estimates(tails: np.ndarray, words: int) -> list[int]:
+    """:meth:`CliqueSubList.work_estimate` over arrays of tail counts."""
+    return (tails * (tails - 1) // 2 + tails * max(1, words // 8)).tolist()

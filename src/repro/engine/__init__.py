@@ -15,7 +15,7 @@ package turns that claim into architecture:
   :mod:`~repro.engine.level_loop` — the shared single-pass level
   storage contract (``memory`` / ``disk`` / ``wah``-compressed,
   selected by ``EnumerationConfig.level_store``) and the one
-  level-loop skeleton every store-based backend runs; the generation
+  level-loop skeleton every built-in backend runs; the generation
   step itself can run on raw words or on the WAH-compressed form
   (``EnumerationConfig.compute_domain``,
   :mod:`repro.core.compressed_domain`);

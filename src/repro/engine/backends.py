@@ -1,12 +1,11 @@
 """The built-in execution backends.
 
-The four level-loop backends share one runner (:func:`_run_levels`)
-over :func:`repro.engine.level_loop.run_level_loop`; each supplies only
-its raw-word generation step and the compressed-domain model its WAH
-step runs, and takes its default level store from
-:attr:`~repro.engine.registry.BackendInfo.storage`.  ``"multiprocess"``
-runs the partition-persistent worker pool of
-:mod:`repro.parallel.mp_backend` instead:
+All five backends share one runner (:func:`_run_levels`) over
+:func:`repro.engine.level_loop.run_level_loop`; each supplies only its
+raw-word generation step, the compressed-domain model its WAH step
+runs and, for the parallel two, the expander that fans a level across
+workers, and takes its default level store from
+:attr:`~repro.engine.registry.BackendInfo.storage`:
 
 * ``"incore"`` — the paper's contribution: candidates in RAM, tail-list
   pair generation (Figure 3);
@@ -18,8 +17,9 @@ runs the partition-persistent worker pool of
   worker threads over the same adjacency bitmap, LPT-seeded per level
   with intra-level work stealing
   (:mod:`repro.parallel.thread_backend`);
-* ``"multiprocess"`` — the process-based analogue: persistent worker
-  partitions plus the centralised load-balancing scheduler.
+* ``"multiprocess"`` — the process-based analogue: each level's rows
+  LPT-partitioned across worker processes
+  (:mod:`repro.parallel.mp_backend`).
 
 All five return the same canonical
 :class:`~repro.core.clique_enumerator.EnumerationResult` and emit
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from contextlib import nullcontext
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.errors import ParameterError
@@ -53,16 +52,12 @@ from repro.engine.config import (
     resolve_for_backend,
     resolve_kernel,
 )
-from repro.engine.level_loop import (
-    GenerationStep,
-    make_emitter,
-    run_level_loop,
-)
+from repro.engine.level_loop import GenerationStep, run_level_loop
 from repro.engine.level_store import CompressedLevelStore, MemoryLevelStore
 from repro.engine.registry import get_backend, register_backend
 
 if TYPE_CHECKING:
-    from repro.parallel.thread_backend import ThreadedExpander
+    from repro.parallel.thread_backend import LevelFanOut
 
 __all__ = [
     "run_incore",
@@ -135,7 +130,7 @@ def _run_levels(
     backend: str,
     bitset_step: GenerationStep,
     model: str,
-    wrap: Callable[[GenerationStep], ThreadedExpander] | None = None,
+    wrap: Callable[[GenerationStep], LevelFanOut] | None = None,
     wrap_options: frozenset[str] = frozenset(),
 ) -> EnumerationResult:
     """The one runner every level-loop backend shares.
@@ -149,11 +144,15 @@ def _run_levels(
     domain, and the WAH step kernel.  Every step takes and returns
     level batches, so store and step combine freely.  ``wrap`` turns
     the step into a parallel one (a :class:`~repro.parallel.
-    thread_backend.ThreadedExpander`, which annotates the result with
-    its workers and steals) and ``wrap_options`` are the option keys it
-    reads.
+    thread_backend.LevelFanOut` over threads or processes, which
+    annotates the result with its workers and balance) and
+    ``wrap_options`` are the option keys it reads.  The config is
+    checked against the registry entry first, so a direct runner call
+    raises the same :class:`~repro.errors.ConfigError` as the engine
+    facade and the service's submit path.
     """
     info = get_backend(backend)
+    config = resolve_for_backend(config, info)
     if config.jobs is not None and not info.parallel:
         raise ParameterError(
             f"backend {config.backend!r} is sequential; jobs is only "
@@ -292,72 +291,32 @@ def run_threads(
 
 @register_backend(
     "multiprocess",
-    description="partition-persistent worker processes with centralised "
-    "load balancing",
+    description="per-level worker-process fan-out of the shared level "
+    "loop",
     storage="memory",
     parallel=True,
-    level_stores=("memory",),
+    level_stores=LEVEL_STORES,
 )
 def run_multiprocess(
     g: Graph, config: EnumerationConfig, on_clique: OnClique = None
 ) -> EnumerationResult:
-    """The process-pool substrate, adapted to the canonical result type.
+    """The ``incore`` loop with each level fanned across worker processes.
 
-    Workers own persistent sub-list partitions (the paper's thread-local
-    memory); the parent relays sub-lists between them when the estimated
-    load gap crosses ``rel_tolerance``.  Cliques are canonically sorted
-    within each level, so output order matches the sequential backends.
-    Isolated vertices (``k_min == 1``) are emitted in the parent — they
-    carry no parallel work — before the pool starts at level 2.
-
-    The ``max_cliques`` budget is enforced while replaying the pool's
-    output through the shared emitter, i.e. *after* the distributed
-    enumeration has finished — unlike the sequential substrates it
-    bounds the returned output, not the work in flight.
+    The raw-word step runs inside a
+    :class:`~repro.parallel.mp_backend.ProcessExpander` of
+    ``config.jobs`` processes, each shipped its LPT share of the level's
+    rows, so output, statistics and operation counters are
+    byte-identical to ``incore`` on every level store, and both budgets
+    bound the work in flight.  Cliques stream through ``on_clique`` at
+    each level barrier.
     """
-    from repro.parallel.mp_backend import enumerate_maximal_cliques_mp
+    from repro.parallel.mp_backend import ProcessExpander
+    from repro.parallel.thread_backend import resolve_worker_count
 
-    _reject_unknown_options(config, {"rel_tolerance"})
-    # workers keep their partitions in local memory; pretending to
-    # honour a disk or compressed substrate would silently change what
-    # candidate_bytes means.  The shared resolver raises the same
-    # ConfigError the engine facade and the service submit path do, so
-    # a direct runner call cannot drift from them.
-    config = resolve_for_backend(config, get_backend("multiprocess"))
-    if config.k_max is not None and config.k_max < 2:
-        # no parallel work exists below level 2; the sequential loop is
-        # the exact semantics (isolated vertices, completed flag) —
-        # minus the multiprocess-only knobs it would not understand
-        result = run_incore(
-            g, replace(config, options={}, jobs=None), on_clique
-        )
-        result.backend = "multiprocess"
-        return result
-    result = EnumerationResult(
-        k_min=config.k_min,
-        k_max=config.k_max,
-        backend="multiprocess",
+    def processes(step: GenerationStep) -> ProcessExpander:
+        return ProcessExpander(resolve_worker_count(config.jobs), step)
+
+    return _run_levels(
+        g, config, on_clique, "multiprocess", generate_next_level,
+        "pairs", wrap=processes,
     )
-    level = [config.k_min]
-    emit = make_emitter(result, config, on_clique, lambda: level[0])
-    if config.k_min == 1:
-        for v in range(g.n):
-            if g.degree(v) == 0:
-                result.counters.maximal_emitted += 1
-                emit((v,))
-    mp_res = enumerate_maximal_cliques_mp(
-        g,
-        k_min=max(2, config.k_min),
-        k_max=config.k_max,
-        n_workers=config.jobs,
-        rel_tolerance=config.option("rel_tolerance", 0.20),
-    )
-    result.counters.merge(mp_res.counters)
-    result.counters.levels = max(result.counters.levels, mp_res.levels)
-    result.n_workers = mp_res.n_workers
-    result.transfers = mp_res.transfers
-    result.completed = mp_res.exhausted
-    for clique in mp_res.cliques:
-        level[0] = len(clique)
-        emit(clique)
-    return result

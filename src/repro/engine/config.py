@@ -4,8 +4,8 @@ One :class:`EnumerationConfig` describes a run completely: the size
 window (the paper's ``Init_K`` and the optional upper bound), the safety
 budgets, the backend name resolved through
 :mod:`repro.engine.registry`, and a free-form ``options`` mapping for
-backend-specific knobs (spill directory and chunk size for ``"ooc"``,
-scheduler tolerance for ``"multiprocess"``).  The config is frozen and
+backend-specific knobs (spill directory and chunk size for the disk
+store, steal granularity for ``"threads"``).  The config is frozen and
 validated at construction, so a bad parameter fails before any work
 starts — and before a worker pool or spill directory is created.
 """
@@ -120,8 +120,9 @@ class EnumerationConfig:
         :class:`~repro.errors.BudgetExceeded`.
     max_candidate_bytes:
         Optional per-level cap on measured candidate storage; exceeding
-        it raises :class:`~repro.errors.BudgetExceeded`.  Ignored by
-        backends that do not track level storage centrally.
+        it raises :class:`~repro.errors.BudgetExceeded`.  Checked on
+        every stored level by the shared level loop (every built-in
+        backend); a third-party backend outside the loop may ignore it.
     jobs:
         Worker count for parallel backends — processes for
         ``"multiprocess"``, shared-memory threads for ``"threads"``
@@ -135,9 +136,8 @@ class EnumerationConfig:
         substrate whose predicted peak fits the memory budget,
         resolved per run), or ``None`` for the backend's default
         (memory for ``incore``/``bitscan``, disk for ``ooc``).
-        Backends that do
-        not run the shared level loop reject substrates they cannot
-        honour rather than silently ignoring the policy.  Part of the
+        Backends reject substrates their registry entry does not
+        advertise rather than silently ignoring the policy.  Part of the
         config's equality/hash, so the service result cache can never
         conflate runs on different substrates.
     compute_domain:
@@ -167,8 +167,7 @@ class EnumerationConfig:
         service result cache keys stay conservative.
     options:
         Backend-specific knobs, e.g. ``{"directory": ..., "chunk_size":
-        512}`` for ``"ooc"``, ``{"rel_tolerance": 0.1}`` for
-        ``"multiprocess"``, or ``{"steal_granularity": 4}`` for
+        512}`` for ``"ooc"``, or ``{"steal_granularity": 4}`` for
         ``"threads"`` (validated here because it is a concurrency knob
         whose misconfiguration must fail before a pool starts; like
         every option it is hashed into the config identity, so the

@@ -201,7 +201,7 @@ def fold_result(registry: MetricsRegistry, result: Any) -> None:
     if result.transfers:
         registry.counter(
             "repro_transfers_total",
-            "Sub-lists migrated between workers (steals/relays).",
+            "Sub-lists migrated between workers (work steals).",
         ).inc(result.transfers)
     if result.io is not None:
         registry.counter(

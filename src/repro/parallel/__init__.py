@@ -7,12 +7,13 @@
 * :func:`~repro.parallel.parallel_enumerator.record_trace` /
   :func:`~repro.parallel.parallel_enumerator.simulate_run` — trace-replay
   simulation of the multithreaded Clique Enumerator;
-* :func:`~repro.parallel.mp_backend.enumerate_maximal_cliques_mp` — real
-  multiprocessing execution on host cores;
 * :class:`~repro.parallel.thread_backend.ThreadedExpander` /
   :class:`~repro.parallel.load_balancer.StealingWorkQueue` — the
   shared-memory threaded substrate behind the engine's ``"threads"``
   backend: LPT-seeded worker threads with intra-level work stealing;
+* :class:`~repro.parallel.mp_backend.ProcessExpander` — the engine's
+  ``"multiprocess"`` backend: each level's rows LPT-partitioned across
+  worker processes on host cores;
 * :mod:`repro.parallel.metrics` — absolute/relative speedups and
   load-balance statistics as defined in the paper's Section 3.
 """
@@ -37,11 +38,11 @@ from repro.parallel.parallel_enumerator import (
     simulate_processor_sweep,
     simulate_run,
 )
-from repro.parallel.mp_backend import MPResult, enumerate_maximal_cliques_mp
 from repro.parallel.thread_backend import (
     ThreadedExpander,
     resolve_worker_count,
 )
+from repro.parallel.mp_backend import ProcessExpander
 from repro.parallel.metrics import (
     LoadBalanceStats,
     absolute_speedup,
@@ -60,6 +61,7 @@ __all__ = [
     "BalanceDecision",
     "StealingWorkQueue",
     "ThreadedExpander",
+    "ProcessExpander",
     "resolve_worker_count",
     "EnumerationTrace",
     "TraceItem",
@@ -67,8 +69,6 @@ __all__ = [
     "record_trace",
     "simulate_run",
     "simulate_processor_sweep",
-    "MPResult",
-    "enumerate_maximal_cliques_mp",
     "LoadBalanceStats",
     "absolute_speedup",
     "relative_speedups",

@@ -1,293 +1,142 @@
-"""Real multiprocessing backend with partition-persistent workers.
+"""Per-level process fan-out of the shared level loop.
 
-The paper's threads "work on [their] local instance as much as possible to
-avoid too much remote memory access", with a centralised scheduler that
-only *transfers* work when the load imbalance crosses a threshold.  The
-process-based equivalent implemented here:
+The paper's scheduler "divides all k-cliques evenly to multiple threads
+and then signals them to start enumerating (k+1)-cliques"; when all
+threads finish, it "collects the results ... and redistributes the
+work".  :class:`ProcessExpander` is that scheduler on worker
+*processes*, as the generation step of the ``"multiprocess"`` backend's
+shared level loop:
 
-* each worker process owns a persistent partition of the sub-lists and
-  expands it level by level with the unmodified
-  :func:`~repro.core.clique_enumerator.generate_next_level`; children stay
-  in the worker that created them (the "local memory" of the paper);
-* per level, workers return only the emitted maximal cliques and their
-  new partition's work estimates — a tiny fraction of the sub-list data;
-* the parent plays the centralised scheduler: when the estimated load gap
-  exceeds the threshold fraction, it relays whole sub-lists from the
-  heaviest to the lightest worker (the one expensive message type, and
-  the analogue of the paper's remote-access penalty).
+* it starts ``n_workers`` processes on the first level with at least
+  two sub-lists (a one-worker or narrow run stays inline);
+* each level, it LPT-partitions the batch's rows by work estimate
+  (:meth:`~repro.parallel.load_balancer.LoadBalancer.partition`) and
+  ships worker ``w`` its rows as one structure-of-arrays batch,
+  ``batch.take(rows)``;
+* each worker expands its rows with the sequential step and sends back
+  ``(counters, cliques, children, busy)``; the parent merges them at
+  the barrier through :class:`~repro.parallel.thread_backend.
+  LevelFanOut` — the same code the threaded backend uses.
 
-Compared to a naive per-level scatter/gather pool, this ships roughly two
-orders of magnitude less data, which is what makes real speedup possible
-for an algorithm whose per-sub-list compute is microseconds.
-
-Output is identical (as a set, and per size level) to the sequential
-driver; within a level, cliques are sorted canonically so the result is
-deterministic regardless of worker interleaving.
+Workers hold no state between levels, so seeding, every level store,
+level statistics, both budgets and clique streaming are the shared
+loop's, and output, counters and statistics are byte-identical to the
+sequential ``incore`` backend.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-from dataclasses import dataclass, field
+import time
+from collections.abc import Callable
 
-from repro.errors import ParameterError, ReproError
-from repro.core.clique_enumerator import (
-    build_initial_sublists,
-    build_sublists_from_k_cliques,
-    generate_next_level,
-)
+from repro.errors import ReproError
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
-from repro.core.kclique import enumerate_k_cliques
-from repro.core.sublist import CliqueSubList
+from repro.parallel.load_balancer import LoadBalancer
+from repro.parallel.thread_backend import Batch, LevelFanOut
 
-__all__ = ["MPResult", "enumerate_maximal_cliques_mp"]
+__all__ = ["ProcessExpander"]
 
 
-@dataclass
-class MPResult:
-    """Output of :func:`enumerate_maximal_cliques_mp`.
+def _worker(conn, g: Graph, step: Callable) -> None:
+    """Worker body: expand every batch the parent sends until ``None``.
 
-    ``transfers`` counts sub-lists relayed between workers by the
-    scheduler; ``counters`` aggregates the per-worker operation counts.
-    ``exhausted`` is False when ``k_max`` stopped the run with candidate
-    sub-lists remaining (mirrors the sequential drivers' ``completed``).
+    A raising step sends its exception back instead of a result, so the
+    parent re-raises it at the barrier.
     """
-
-    cliques: list[tuple[int, ...]] = field(default_factory=list)
-    n_workers: int = 1
-    levels: int = 0
-    transfers: int = 0
-    counters: OpCounters = field(default_factory=OpCounters)
-    exhausted: bool = True
-
-
-def _worker_loop(conn, g: Graph) -> None:
-    """Persistent worker: owns a sub-list partition across levels."""
-    sublists: list[CliqueSubList] = []
     try:
-        while True:
-            msg = conn.recv()
-            cmd = msg[0]
-            if cmd == "seed":
-                sublists = msg[1]
-                conn.send(("ok",))
-            elif cmd == "expand":
-                counters = OpCounters()
-                emitted: list[tuple[int, ...]] = []
-                sublists = generate_next_level(
-                    sublists, g, counters, emitted.append
-                )
-                conn.send(
-                    (
-                        "expanded",
-                        emitted,
-                        [sl.work_estimate() for sl in sublists],
-                        counters.snapshot(),
-                    )
-                )
-            elif cmd == "give":
-                indices = set(msg[1])
-                moved = [
-                    sl for i, sl in enumerate(sublists) if i in indices
-                ]
-                sublists = [
-                    sl for i, sl in enumerate(sublists) if i not in indices
-                ]
-                conn.send(("items", moved))
-            elif cmd == "take":
-                sublists.extend(msg[1])
-                conn.send(("ok",))
-            elif cmd == "stop":
-                conn.send(("bye",))
-                return
-            else:  # pragma: no cover - protocol guard
-                conn.send(("error", f"unknown command {cmd!r}"))
-                return
-    except EOFError:  # parent died; exit quietly
-        return
-
-
-def _lpt_partition(
-    sublists: list[CliqueSubList], n: int
-) -> list[list[CliqueSubList]]:
-    """Longest-processing-time split of seed sub-lists into n partitions."""
-    parts: list[list[CliqueSubList]] = [[] for _ in range(n)]
-    loads = [0] * n
-    order = sorted(
-        range(len(sublists)), key=lambda i: -sublists[i].work_estimate()
-    )
-    for i in order:
-        w = min(range(n), key=lambda j: (loads[j], j))
-        parts[w].append(sublists[i])
-        loads[w] += sublists[i].work_estimate()
-    return parts
-
-
-def _plan_transfers(
-    estimates: list[list[int]], rel_tolerance: float
-) -> list[tuple[int, list[int], int]]:
-    """Scheduler decision: (from_worker, item_indices, to_worker) moves.
-
-    Greedy heavy-to-light moves on the estimate totals, stopping at the
-    tolerance band; mirrors
-    :class:`repro.parallel.load_balancer.LoadBalancer` at whole-sub-list
-    granularity.
-    """
-    n = len(estimates)
-    loads = [float(sum(e)) for e in estimates]
-    total = sum(loads)
-    if total <= 0 or n < 2:
-        return []
-    thresh = rel_tolerance * total / n
-    # mutable copies of per-worker item estimates with original indices
-    items = [
-        sorted(
-            ((est, idx) for idx, est in enumerate(e)), reverse=True
-        )
-        for e in estimates
-    ]
-    moves: dict[tuple[int, int], list[int]] = {}
-    for _ in range(10_000):
-        heavy = max(range(n), key=lambda i: (loads[i], -i))
-        light = min(range(n), key=lambda i: (loads[i], i))
-        gap = loads[heavy] - loads[light]
-        if gap <= thresh or not items[heavy]:
-            break
-        movable = [
-            (est, idx) for est, idx in items[heavy] if 0 < est < gap
-        ]
-        if not movable:
-            break
-        est, idx = min(
-            movable, key=lambda t: (abs(t[0] - gap / 2), t[1])
-        )
-        items[heavy].remove((est, idx))
-        loads[heavy] -= est
-        loads[light] += est
-        moves.setdefault((heavy, light), []).append(idx)
-    return [
-        (src, idx_list, dst) for (src, dst), idx_list in moves.items()
-    ]
-
-
-def enumerate_maximal_cliques_mp(
-    g: Graph,
-    k_min: int = 2,
-    k_max: int | None = None,
-    n_workers: int | None = None,
-    rel_tolerance: float = 0.20,
-) -> MPResult:
-    """Enumerate maximal cliques on a pool of persistent worker processes.
-
-    Results match the sequential
-    :func:`~repro.core.clique_enumerator.enumerate_maximal_cliques` with
-    the same bounds, level by level (canonically sorted within levels).
-
-    ``k_min`` below 2 is promoted to 2 (isolated vertices carry no
-    parallel work; use the sequential driver to include 1-cliques).
-    ``rel_tolerance`` is the scheduler's imbalance band as a fraction of
-    the mean estimated load.
-    """
-    k_min = max(2, k_min)
-    if k_max is not None and k_max < k_min:
-        raise ParameterError(f"k_max ({k_max}) must be >= k_min ({k_min})")
-    if n_workers is None:
-        n_workers = max(1, mp.cpu_count())
-    result = MPResult(n_workers=n_workers)
-    counters = result.counters
-    emit = result.cliques.append
-
-    # ---- seed level (in the parent; identical to the sequential driver)
-    if k_min == 2:
-        sublists = build_initial_sublists(
-            g, counters, emit, emit_maximal_edges=True
-        )
-    else:
-        kres = enumerate_k_cliques(g, k_min, counters)
-        for clique in kres.maximal:
-            emit(clique)
-        sublists = build_sublists_from_k_cliques(
-            g, k_min, kres.non_maximal, counters
-        )
-
-    k = k_min
-    if n_workers == 1 or not sublists:
-        while sublists and (k_max is None or k < k_max):
-            level: list[tuple[int, ...]] = []
-            sublists = generate_next_level(sublists, g, counters,
-                                           level.append)
-            result.cliques.extend(sorted(level))
-            k += 1
-        result.levels = k
-        result.exhausted = not sublists
-        return result
-
-    ctx = mp.get_context(
-        "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-    )
-    pipes = []
-    procs = []
-    try:
-        for _ in range(n_workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_loop, args=(child_conn, g), daemon=True
-            )
-            proc.start()
-            child_conn.close()
-            pipes.append(parent_conn)
-            procs.append(proc)
-
-        for conn, part in zip(pipes, _lpt_partition(sublists, n_workers)):
-            conn.send(("seed", part))
-        for conn in pipes:
-            if conn.recv()[0] != "ok":  # pragma: no cover
-                raise ReproError("worker failed to accept seed partition")
-
-        remaining = True
-        while remaining and (k_max is None or k < k_max):
-            for conn in pipes:
-                conn.send(("expand",))
-            level: list[tuple[int, ...]] = []
-            estimates: list[list[int]] = []
-            for conn in pipes:
-                tag, emitted, ests, snap = conn.recv()
-                if tag != "expanded":  # pragma: no cover
-                    raise ReproError(f"unexpected worker reply {tag!r}")
-                level.extend(emitted)
-                estimates.append(ests)
-                snap.pop("levels", None)  # parent tracks levels itself
-                counters.merge_snapshot(snap)
-            result.cliques.extend(sorted(level))
-            k += 1
-            remaining = any(estimates_w for estimates_w in estimates)
-            if not remaining:
-                break
-            # centralised scheduler: relay sub-lists heavy -> light
-            for src, idx_list, dst in _plan_transfers(
-                estimates, rel_tolerance
-            ):
-                pipes[src].send(("give", idx_list))
-                tag, moved = pipes[src].recv()
-                if tag != "items":  # pragma: no cover
-                    raise ReproError("transfer protocol violation")
-                pipes[dst].send(("take", moved))
-                if pipes[dst].recv()[0] != "ok":  # pragma: no cover
-                    raise ReproError("transfer protocol violation")
-                result.transfers += len(moved)
-        result.exhausted = not remaining
-    finally:
-        for conn in pipes:
+        while (batch := conn.recv()) is not None:
+            counters, cliques = OpCounters(), []
+            t0 = time.perf_counter()
             try:
-                conn.send(("stop",))
-                conn.recv()
-            except (BrokenPipeError, EOFError, OSError):
+                children = step(batch, g, counters, cliques.append)
+            except Exception as exc:  # noqa: BLE001 — raised by the parent
+                conn.send(exc)
+                continue
+            busy = time.perf_counter() - t0
+            conn.send((counters, cliques, [children], busy))
+    except (EOFError, OSError):  # the parent is gone; exit quietly
+        pass
+
+
+class ProcessExpander(LevelFanOut):
+    """A worker-process pool expanding each level's rows in parallel.
+
+    :meth:`step` matches the engine's
+    :data:`~repro.engine.level_loop.GenerationStep` signature.  The
+    pool starts lazily, lives for one run, and uses ``fork`` where the
+    platform has it (the graph is inherited, not pickled), ``spawn``
+    elsewhere.  Use as a context manager; :meth:`close` reaps the
+    workers, also when the run raises.
+    """
+
+    def __init__(self, n_workers: int, step: Callable):
+        super().__init__(n_workers, step)
+        self._conns: list = []
+        self._procs: list = []
+
+    def _ensure_workers(self, g: Graph) -> list:
+        if not self._procs:
+            ctx = mp.get_context(
+                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+            )
+            for _ in range(self.n_workers):
+                conn, child_conn = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_worker,
+                    args=(child_conn, g, self._step),
+                    daemon=True,
+                )
+                proc.start()
+                child_conn.close()
+                self._conns.append(conn)
+                self._procs.append(proc)
+        return self._conns
+
+    def close(self) -> None:
+        """Stop and join every worker; idempotent."""
+        for conn in self._conns:
+            try:
+                conn.send(None)
+            except OSError:
                 pass
             conn.close()
-        for proc in procs:
+        for proc in self._procs:
             proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover
+            if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
-    result.levels = k
-    return result
+                proc.join()
+        self._conns, self._procs = [], []
+
+    def step(
+        self,
+        batch: Batch,
+        g: Graph,
+        counters: OpCounters,
+        emit: Callable[[tuple[int, ...]], None],
+    ) -> Batch:
+        """One level (or store chunk) of generation, fanned across the
+        worker processes and merged at the barrier."""
+        if self.n_workers == 1 or len(batch) < 2:
+            return self._step(batch, g, counters, emit)
+        parts = LoadBalancer(self.n_workers, g.n).partition(
+            list(range(len(batch))), batch.work_estimates()
+        )
+        conns = self._ensure_workers(g)
+        busy = [w for w, rows in enumerate(parts) if rows]
+        for w in busy:
+            conns[w].send(batch.take(parts[w]))
+        # a worker without rows contributes nothing to the merge
+        outcomes: list = [(OpCounters(), [], [], 0.0)] * self.n_workers
+        for w in busy:
+            try:
+                outcomes[w] = conns[w].recv()
+            except EOFError:
+                outcomes[w] = ReproError(
+                    f"worker process {w} exited during a level"
+                )
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        return self._merge(batch, outcomes, counters, emit)

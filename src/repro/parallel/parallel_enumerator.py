@@ -23,13 +23,16 @@ schedule-invariant), the simulation splits into two phases:
 
 One trace therefore yields the whole Figure 5/6/7 processor sweep — and
 the per-processor busy times for Figure 8 — without re-running the
-enumeration.  A real ``multiprocessing`` backend for genuine wall-clock
-parallelism lives in :mod:`repro.parallel.mp_backend`.
+enumeration.  The engine's ``"threads"`` and ``"multiprocess"``
+backends run the same level barrier for genuine wall-clock parallelism
+(:mod:`repro.parallel.thread_backend`, :mod:`repro.parallel.mp_backend`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import ParameterError
 from repro.core.clique_enumerator import (
@@ -40,6 +43,7 @@ from repro.core.clique_enumerator import (
 from repro.core.counters import OpCounters
 from repro.core.graph import Graph
 from repro.core.kclique import enumerate_k_cliques
+from repro.core.sublist import CliqueLevelBatch
 from repro.parallel.load_balancer import LoadBalancer, WorkItem
 from repro.parallel.machine import LevelTiming, MachineSpec, VirtualClock
 
@@ -164,37 +168,44 @@ def record_trace(
         )
     trace.seed_work = seed_counters.total_work()
 
-    ids = list(range(len(sublists)))
-    next_id = len(sublists)
+    level = CliqueLevelBatch.from_sublists(sublists)
+    ids = list(range(len(level)))
+    next_id = len(level)
     parent_of: dict[int, int] = {}
     k = k_min
-    while sublists and (k_max is None or k < k_max):
+    while len(level) and (k_max is None or k < k_max):
         level_records: list[TraceItem] = []
-        new_sublists = []
+        children: list[CliqueLevelBatch] = []
         new_ids: list[int] = []
-        for sl, sl_id in zip(sublists, ids):
+        estimates = level.work_estimates()
+        n_tails = np.diff(level.offsets).tolist()
+        for row, sl_id in enumerate(ids):
+            # one-row slices: each sub-list's own work and emissions
             c = OpCounters()
             emitted_before = len(trace.cliques)
-            children = generate_next_level([sl], g, c, emit)
+            child = generate_next_level(
+                level.slice(row, row + 1), g, c, emit
+            )
             level_records.append(
                 TraceItem(
                     item_id=sl_id,
                     level=k,
                     parent_id=parent_of.get(sl_id, -1),
-                    estimate=sl.work_estimate(),
+                    estimate=estimates[row],
                     work=c.total_work(),
-                    n_tails=len(sl),
+                    n_tails=n_tails[row],
                     maximal_emitted=len(trace.cliques) - emitted_before,
                 )
             )
-            for ch in children:
+            for _ in range(len(child)):
                 parent_of[next_id] = sl_id
-                new_sublists.append(ch)
                 new_ids.append(next_id)
                 next_id += 1
+            children.append(child)
         trace.levels.append(level_records)
         trace.level_ks.append(k)
-        sublists, ids, k = new_sublists, new_ids, k + 1
+        level = CliqueLevelBatch.concat(children)
+        ids, k = new_ids, k + 1
     # Final-level sub-lists (when k_max stopped the run) do no recorded
     # work; they are intentionally absent from the trace.
     trace.total_maximal = len(trace.cliques)

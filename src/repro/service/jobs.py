@@ -230,7 +230,7 @@ class Job:
             out["counters"] = self.result.counters.snapshot()
             out["completed"] = self.result.completed
             # parallel-substrate observability (threads/multiprocess):
-            # worker count and scheduler transfers ride the same wire
+            # worker count and stolen sub-lists ride the same wire
             # payload, so `repro jobs` can show how a parallel job ran
             out["n_workers"] = self.result.n_workers
             out["transfers"] = self.result.transfers

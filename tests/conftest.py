@@ -75,3 +75,34 @@ def nx_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
 
     nxg = g.to_networkx()
     return sorted(tuple(sorted(c)) for c in nx.find_cliques(nxg))
+
+
+#: registry name of :func:`memory_only_backend`
+MEMORY_ONLY = "test-memory-only"
+
+
+@pytest.fixture
+def memory_only_backend():
+    """A registered level-loop backend that honours only the memory
+    store: the example of a backend refusing an explicit level store.
+
+    Yields its registry name; unregistered on teardown.  Registered
+    per test, so parser choices and parametrizations built at
+    collection time never see it.
+    """
+    from repro.core.clique_enumerator import generate_next_level
+    from repro.engine import register_backend, unregister_backend
+    from repro.engine.backends import _run_levels
+
+    def run(g, config, on_clique=None):
+        return _run_levels(
+            g, config, on_clique, MEMORY_ONLY, generate_next_level,
+            "pairs",
+        )
+
+    register_backend(
+        MEMORY_ONLY, run, description="memory store only",
+        level_stores=("memory",),
+    )
+    yield MEMORY_ONLY
+    unregister_backend(MEMORY_ONLY)

@@ -235,23 +235,30 @@ class TestAgainstReference:
     def test_complete_graph_keeps_one_chain(self):
         assert assert_levels_match(complete_graph(9)) == 7
 
-    def test_list_input_gives_list_output(self):
+    def test_one_row_slices_match_the_whole_batch(self):
+        """Stepping a level one sub-list at a time (as the machine-model
+        trace does) gives the children, cliques and counters of one
+        whole-batch step."""
         g = erdos_renyi(40, 0.35, seed=5)
-        seed = build_initial_sublists(g, OpCounters(), lambda c: None, True)
-        c_list, c_batch = OpCounters(), OpCounters()
-        e_list, e_batch = [], []
-        from_list = generate_next_level(seed, g, c_list, e_list.append)
-        from_batch = generate_next_level(
-            CliqueLevelBatch.from_sublists(seed), g, c_batch, e_batch.append
+        seed = CliqueLevelBatch.from_sublists(
+            build_initial_sublists(g, OpCounters(), lambda c: None, True)
         )
-        assert isinstance(from_list, list)
-        assert all(isinstance(sl, CliqueSubList) for sl in from_list)
-        assert [sl.prefix for sl in from_list] == [
-            sl.prefix for sl in from_batch.to_sublists()
+        c_rows, c_batch = OpCounters(), OpCounters()
+        e_rows, e_batch = [], []
+        children = [
+            generate_next_level(
+                seed.slice(row, row + 1), g, c_rows, e_rows.append
+            )
+            for row in range(len(seed))
         ]
-        assert e_list == e_batch
-        assert c_list.snapshot() == c_batch.snapshot()
-        assert generate_next_level([], g, OpCounters(), e_list.append) == []
+        whole = generate_next_level(seed, g, c_batch, e_batch.append)
+        rows = CliqueLevelBatch.concat(children)
+        assert rows.prefixes.tolist() == whole.prefixes.tolist()
+        assert rows.offsets.tolist() == whole.offsets.tolist()
+        assert rows.tails.tolist() == whole.tails.tolist()
+        assert (rows.cn_words == whole.cn_words).all()
+        assert e_rows == e_batch
+        assert c_rows.snapshot() == c_batch.snapshot()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from repro.core.generators import erdos_renyi
-from repro.engine import EnumerationConfig, EnumerationEngine
+from repro.engine import EnumerationConfig, EnumerationEngine, get_backend
 from repro.errors import BudgetExceeded
 from repro.service import JobScheduler, JobSpec, JobStatus
 
@@ -69,6 +69,38 @@ def test_trip_delivers_the_leading_cliques(graph, full, label, fields):
         assert info.value.emitted == budget
         # k_min = 2: the level being generated is the tripping size
         assert info.value.level == len(full[budget])
+
+
+def _incore_twin(fields):
+    """``incore`` config fields on the same effective level store."""
+    backend = fields.get("backend", "incore")
+    return {
+        "level_store": fields.get("level_store")
+        or get_backend(backend).storage,
+        "options": fields.get("options", {}),
+    }
+
+
+@pytest.mark.parametrize("label,fields", CASES, ids=[c[0] for c in CASES])
+def test_candidate_budget_trips_at_the_incore_level(graph, label, fields):
+    """``max_candidate_bytes`` is checked on every stored level, so each
+    backend trips where ``incore`` on the same store does: on the seed
+    level (1000 bytes) and on the peak generated level (peak - 1)."""
+    twin = _incore_twin(fields)
+    ref = ENGINE.run(graph, EnumerationConfig(k_min=2, **twin))
+    res = ENGINE.run(graph, EnumerationConfig(k_min=2, **fields))
+    assert res.level_stats == ref.level_stats
+    for budget, level in ((1000, 2), (ref.peak_candidate_bytes() - 1, 3)):
+        trips = []
+        for case in (twin, fields):
+            config = EnumerationConfig(
+                k_min=2, max_candidate_bytes=budget, **case
+            )
+            with pytest.raises(BudgetExceeded) as info:
+                ENGINE.run(graph, config)
+            trips.append((info.value.level, info.value.emitted))
+        assert trips[0] == trips[1]
+        assert trips[1][0] == level
 
 
 def test_exact_budget_does_not_trip(graph, full):

@@ -2,7 +2,7 @@
 
 The level loop must hold each level it stores to the budget — the
 seed level, and the last level it keeps when ``k_max`` stops the run —
-on every store-based backend and every level store.  Regression: the
+on every backend and every level store.  Regression: the
 check used to run only before generating a further level, so a run
 bounded by ``k_max`` never checked the last level it kept.
 """
@@ -17,7 +17,7 @@ from repro.errors import BudgetExceeded
 
 ENGINE = EnumerationEngine()
 
-BACKENDS = ("incore", "bitscan", "ooc", "threads")
+BACKENDS = ("incore", "bitscan", "ooc", "threads", "multiprocess")
 STORES = ("memory", "disk", "wah")
 
 
@@ -27,7 +27,7 @@ def graph():
 
 
 def _config(backend, store, k_min=3, **fields):
-    jobs = 2 if backend == "threads" else None
+    jobs = 2 if backend in ("threads", "multiprocess") else None
     return EnumerationConfig(
         backend=backend, k_min=k_min, level_store=store, jobs=jobs,
         **fields,

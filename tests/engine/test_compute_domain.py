@@ -280,16 +280,15 @@ class TestCompressedExpander:
     def test_work_estimate_parity(self):
         """LPT partitioning sees identical weights in both forms, equal
         to the per-sub-list estimate."""
-        from repro.parallel.thread_backend import _work_estimates
-
         g = erdos_renyi(80, 0.2, seed=2)
         seed = _seed(g)
         assert len(seed)
         expected = [sl.work_estimate() for sl in seed.to_sublists()]
-        assert _work_estimates(seed) == expected
-        assert _work_estimates(
-            CompressedLevelBatch.from_level(seed)
-        ) == expected
+        assert seed.work_estimates() == expected
+        assert (
+            CompressedLevelBatch.from_level(seed).work_estimates()
+            == expected
+        )
 
     def test_step_signature_matches_generation_step(self):
         """The expander is a drop-in GenerationStep: same call shape,

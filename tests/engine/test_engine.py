@@ -57,12 +57,12 @@ _BUILTIN_BACKENDS = {
         "kernels": ("python", "numpy"),
     },
     "multiprocess": {
-        "description": "partition-persistent worker processes with "
-        "centralised load balancing",
+        "description": "per-level worker-process fan-out of the shared "
+        "level loop",
         "storage": "memory",
         "parallel": True,
         "min_k_min": 1,
-        "level_stores": ("memory",),
+        "level_stores": ("memory", "disk", "wah"),
         "compute_domains": ("bitset",),
         "kernels": ("python",),
     },
@@ -96,9 +96,9 @@ _ENGINES_STDOUT = (
     "(ablation)\n"
     "incore        memory   memory,disk,wah  bitset,wah  python,numpy  "
     "no        in-memory candidates, tail-list generation (the paper)\n"
-    "multiprocess  memory   memory           bitset      python        "
-    "yes       partition-persistent worker processes with centralised "
-    "load balancing\n"
+    "multiprocess  memory   memory,disk,wah  bitset      python        "
+    "yes       per-level worker-process fan-out of the shared level "
+    "loop\n"
     "ooc           disk     memory,disk,wah  bitset      python,numpy  "
     "no        disk-spilled candidates per level, I/O counted (the "
     "retired out-of-core mode)\n"
@@ -235,16 +235,18 @@ class TestConfig:
 
 
 class TestResolveForBackend:
-    def test_unsupported_store_raises_config_error(self):
+    def test_unsupported_store_raises_config_error(
+        self, memory_only_backend
+    ):
         from repro.errors import ConfigError
         from repro.engine import resolve_for_backend
 
         with pytest.raises(ConfigError, match="does not support"):
             resolve_for_backend(
                 EnumerationConfig(
-                    backend="multiprocess", level_store="wah", jobs=2
+                    backend=memory_only_backend, level_store="wah"
                 ),
-                get_backend("multiprocess"),
+                get_backend(memory_only_backend),
             )
 
     def test_supported_store_passes_through(self):
@@ -269,25 +271,19 @@ class TestResolveForBackend:
             unregister_backend("test-resolve-floor")
         assert out.k_min == 4
 
-    def test_direct_multiprocess_runner_raises_same_error(self, triangle):
+    def test_direct_runner_raises_same_error(
+        self, triangle, memory_only_backend
+    ):
         """Bypassing the facade cannot dodge (or reword) the check."""
         from repro.errors import ConfigError
-        from repro.engine.backends import run_multiprocess
 
+        config = EnumerationConfig(
+            backend=memory_only_backend, level_store="disk"
+        )
         with pytest.raises(ConfigError) as direct:
-            run_multiprocess(
-                triangle,
-                EnumerationConfig(
-                    backend="multiprocess", level_store="disk", jobs=2
-                ),
-            )
+            get_backend(memory_only_backend).runner(triangle, config)
         with pytest.raises(ConfigError) as facade:
-            run_enumeration(
-                triangle,
-                EnumerationConfig(
-                    backend="multiprocess", level_store="disk", jobs=2
-                ),
-            )
+            run_enumeration(triangle, config)
         assert str(direct.value) == str(facade.value)
 
 
@@ -394,8 +390,8 @@ class TestRegistry:
                 {"jobs": 2, "level_store": "wah"}, id="threads",
             ),
             pytest.param(
-                "multiprocess", {"rel_tolerance"}, {"jobs": 2},
-                id="multiprocess",
+                "multiprocess", {"directory", "chunk_size"},
+                {"jobs": 2, "level_store": "disk"}, id="multiprocess",
             ),
         ],
     )
@@ -406,7 +402,6 @@ class TestRegistry:
             "chunk_size": 64,
             "directory": str(tmp_path),
             "steal_granularity": 2,
-            "rel_tolerance": 0.1,
         }
         base = EnumerationConfig(backend=backend, k_min=2, **extra)
         want = run_enumeration(triangle, base).cliques
@@ -416,8 +411,11 @@ class TestRegistry:
             backend=backend, k_min=2, options=options, **extra
         )
         assert run_enumeration(triangle, config).cliques == want
-        # a key valid on some other backend (or store) is still refused
-        for key in sorted(set(values) - accepted) + ["bogus"]:
+        # a key valid on some other backend (or store) is still refused,
+        # and so is `rel_tolerance`, which no backend reads
+        for key in sorted(set(values) - accepted) + [
+            "bogus", "rel_tolerance",
+        ]:
             with pytest.raises(ParameterError, match="option"):
                 run_enumeration(
                     triangle,

@@ -155,13 +155,13 @@ def test_result_carries_backend_name(backend):
 
 
 @pytest.mark.parametrize("store", ["memory", "disk", "wah"])
-@pytest.mark.parametrize("backend", ["incore", "bitscan", "ooc"])
+@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("gname", sorted(GRAPHS))
 def test_identical_on_every_level_store(backend, store, gname, reference):
     """The level-store policy never changes the emitted clique set:
-    every store-based backend on every substrate (including the WAH
-    compressed store) matches the incore reference."""
+    every backend on every substrate (including the WAH compressed
+    store) matches the incore reference."""
     g = GRAPHS[gname]()
-    config = EnumerationConfig(backend=backend, k_min=2, level_store=store)
+    config = _config(backend, k_min=2, level_store=store)
     got = sorted(ENGINE.run(g, config).cliques)
     assert got == reference[(gname, 2, None)]

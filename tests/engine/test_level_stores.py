@@ -32,7 +32,7 @@ from repro.service.cache import ResultCache
 ENGINE = EnumerationEngine()
 
 #: the backends that run the shared level loop over a pluggable store.
-STORE_BACKENDS = ("incore", "bitscan", "ooc", "threads")
+STORE_BACKENDS = ("incore", "bitscan", "ooc", "threads", "multiprocess")
 
 
 def _sl(prefix, tails, n=256):
@@ -275,14 +275,15 @@ class TestLevelStorePolicy:
     def test_registry_advertises_supported_stores(self):
         for backend in STORE_BACKENDS:
             assert get_backend(backend).level_stores == LEVEL_STORES
-        assert get_backend("multiprocess").level_stores == ("memory",)
 
-    def test_multiprocess_rejects_nondefault_store(self, triangle):
+    def test_memory_only_backend_rejects_nondefault_store(
+        self, triangle, memory_only_backend
+    ):
         with pytest.raises(ParameterError, match="does not support"):
             run_enumeration(
                 triangle,
                 EnumerationConfig(
-                    backend="multiprocess", level_store="wah"
+                    backend=memory_only_backend, level_store="wah"
                 ),
             )
 

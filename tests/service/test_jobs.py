@@ -130,14 +130,16 @@ class TestSubmitTimeResolution:
         assert spec.config == promoted.config
         assert hash(spec.config) == hash(promoted.config)
 
-    def test_unsupported_store_refused_at_spec_construction(self):
+    def test_unsupported_store_refused_at_spec_construction(
+        self, memory_only_backend
+    ):
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError, match="does not support"):
             JobSpec(
                 graph=complete_graph(2),
                 config=EnumerationConfig(
-                    backend="multiprocess", level_store="wah", jobs=2
+                    backend=memory_only_backend, level_store="wah"
                 ),
             )
 

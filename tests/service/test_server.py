@@ -103,11 +103,13 @@ class TestProtocolPayloads:
 
 class TestSubmitTimeResolution:
     EXPECTED = (
-        "backend 'multiprocess' does not support level store "
+        "backend 'test-memory-only' does not support level store "
         "'wah'; supported: memory"
     )
 
-    def test_unsupported_store_refused_client_side(self, client, g):
+    def test_unsupported_store_refused_client_side(
+        self, client, g, memory_only_backend
+    ):
         """ServiceClient.submit builds the JobSpec locally, so the
         ConfigError fires before a byte goes over the wire."""
         from repro.errors import ConfigError
@@ -116,12 +118,14 @@ class TestSubmitTimeResolution:
             client.submit(
                 g,
                 config=EnumerationConfig(
-                    backend="multiprocess", level_store="wah", jobs=2
+                    backend=memory_only_backend, level_store="wah"
                 ),
             )
         assert str(exc.value) == self.EXPECTED
 
-    def test_unsupported_store_refused_server_side_too(self, client):
+    def test_unsupported_store_refused_server_side_too(
+        self, client, memory_only_backend
+    ):
         """A raw wire submit (no client-side JobSpec) is refused by the
         server with the identical message — no queue slot is burned on
         a job doomed to fail at dispatch."""
@@ -131,9 +135,8 @@ class TestSubmitTimeResolution:
             client.call(
                 "submit",
                 graph_inline={"n": 3, "edges": [[0, 1], [1, 2]]},
-                backend="multiprocess",
+                backend=memory_only_backend,
                 level_store="wah",
-                jobs=2,
             )
         assert self.EXPECTED in str(exc.value)
         assert client.jobs() == []  # nothing was queued

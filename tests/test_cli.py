@@ -150,16 +150,18 @@ class TestEnumerateLevelStores:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_store_rejected_on_multiprocess(self, graph_file, capsys):
+    def test_store_rejected_on_memory_only_backend(
+        self, graph_file, capsys, memory_only_backend
+    ):
         rc = main(
-            ["enumerate", graph_file, "--backend", "multiprocess",
-             "--jobs", "2", "--level-store", "wah"]
+            ["enumerate", graph_file, "--backend", memory_only_backend,
+             "--level-store", "wah"]
         )
         assert rc == 1
         assert "does not support level store" in capsys.readouterr().err
 
     def test_unsupported_store_message_identical_on_both_paths(
-        self, graph_file, capsys
+        self, graph_file, capsys, memory_only_backend
     ):
         """``repro enumerate`` and the service submit path must refuse
         an unsupported level store with the *identical* ConfigError —
@@ -169,12 +171,12 @@ class TestEnumerateLevelStores:
         from repro.engine import EnumerationConfig
 
         expected = (
-            "backend 'multiprocess' does not support level store "
-            "'wah'; supported: memory"
+            f"backend {memory_only_backend!r} does not support level "
+            "store 'wah'; supported: memory"
         )
         rc = main(
-            ["enumerate", graph_file, "--backend", "multiprocess",
-             "--jobs", "2", "--level-store", "wah"]
+            ["enumerate", graph_file, "--backend", memory_only_backend,
+             "--level-store", "wah"]
         )
         assert rc == 1
         assert f"error: {expected}" in capsys.readouterr().err
@@ -182,7 +184,7 @@ class TestEnumerateLevelStores:
             JobSpec(
                 graph=graph_file,
                 config=EnumerationConfig(
-                    backend="multiprocess", level_store="wah", jobs=2
+                    backend=memory_only_backend, level_store="wah"
                 ),
             )
         assert str(exc.value) == expected
